@@ -34,7 +34,13 @@ from .model import (
     enumerate_labelings,
     sample_graph,
 )
-from .posterior import McmcConfig, exact_posterior, mcmc_posterior, posterior_mode
+from .posterior import (
+    McmcConfig,
+    exact_posterior,
+    log_sum_exp,
+    mcmc_posterior,
+    posterior_mode,
+)
 from .priors import PriorSpec, g_constant, parse_prior, prior_to_string
 
 __all__ = [
@@ -424,7 +430,8 @@ def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             table = exact_posterior(graph, cfg.prior, model)
             sel_a = table.class_sizes == cfg.m0
             sel_b = (table.class_sizes == cfg.m1) if cfg.m1 is not None else ~sel_a
-            log_f = _log_sel_mass(table, sel_b) - _log_sel_mass(table, sel_a)
+            log_f = (log_sum_exp(table.log_unnormalized[sel_b])
+                     - log_sum_exp(table.log_unnormalized[sel_a]))
             return (
                 log_f,
                 float(table.probabilities[sel_a].sum()),
@@ -470,14 +477,6 @@ def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                                     "m0": cfg.m0, "m1": cfg.m1})
         )
     return ExperimentResult(config=cfg, rows=tuple(rows))
-
-
-def _log_sel_mass(table, sel: np.ndarray) -> float:
-    lu = table.log_unnormalized[sel]
-    if len(lu) == 0:
-        return -math.inf
-    mx = float(lu.max())
-    return mx + math.log(float(np.sum(np.exp(lu - mx))))
 
 
 def run_phase_diagram(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

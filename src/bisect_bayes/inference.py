@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import EdgeModel, Graph, LabelVector, canonical_words
-from .posterior import PosteriorTable, exact_posterior
+from .posterior import PosteriorTable, exact_posterior, log_sum_exp
 from .priors import PriorSpec
 
 __all__ = [
@@ -71,13 +71,40 @@ class EnlargedSet:
         return theta in self.members
 
 
+# Relative rounding of the level mass sums is at most about 1e-16 times the
+# number of labelings, below 1e-9 up to the enumeration cap.
+_HPD_MARGIN = 1e-9
+
+
 def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     """Greedy highest-posterior-density set: add labelings in decreasing
-    mass (ties lexicographic) until the cumulative mass reaches 1 - gamma."""
+    mass (ties lexicographic) until the cumulative mass reaches 1 - gamma.
+
+    Only labelings at or above a cutoff are sorted. Equal probabilities are
+    all above the cutoff or all below it, so those labelings are a prefix
+    of the full order. The cutoff is the first level, taken in decreasing
+    mass, at which the level masses clear 1 - gamma with a margin for
+    rounding; should the greedy sum still run out, the full order is used.
+    """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma={gamma} must lie in (0, 1)")
-    order = np.argsort(-table.probabilities, kind="stable")
     target = 1.0 - gamma
+    prob, count = table.level_masses()
+    by_mass = np.argsort(-prob, kind="stable")
+    reached = np.cumsum(prob[by_mass] * count[by_mass])
+    cut = min(int(np.searchsorted(reached, target + _HPD_MARGIN)), len(by_mass) - 1)
+    candidates = np.flatnonzero(table.probabilities >= prob[by_mass[cut]])
+    members, mass = _greedy(table, candidates, target)
+    if mass < target and len(candidates) < len(table):
+        members, mass = _greedy(table, np.arange(len(table)), target)
+    return CredibleSet(members=frozenset(members), gamma=gamma, achieved_mass=mass)
+
+
+def _greedy(table: PosteriorTable, indices: np.ndarray,
+            target: float) -> tuple[list[LabelVector], float]:
+    """Add labelings from ``indices`` in decreasing probability, ties in
+    index order, until their mass reaches ``target``."""
+    order = indices[np.argsort(-table.probabilities[indices], kind="stable")]
     members = []
     mass = 0.0
     for k in order:
@@ -85,7 +112,7 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
         mass += float(table.probabilities[k])
         if mass >= target:
             break
-    return CredibleSet(members=frozenset(members), gamma=gamma, achieved_mass=mass)
+    return members, mass
 
 
 def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
@@ -115,14 +142,6 @@ def confidence_lower_bound(x_n: float, gamma: float) -> float:
     return 1.0 - x_n / (1.0 - gamma)
 
 
-def _log_mass_of(table: PosteriorTable, sel: np.ndarray) -> float:
-    lu = table.log_unnormalized[sel]
-    if len(lu) == 0:
-        return -math.inf
-    mx = float(lu.max())
-    return mx + math.log(float(np.sum(np.exp(lu - mx))))
-
-
 def posterior_odds(
     table: PosteriorTable,
     a_set: Callable[[LabelVector], bool],
@@ -144,7 +163,8 @@ def posterior_odds(
         sel_b[k] = in_b
     if not sel_a.any():
         raise ValueError("null set carries no posterior mass")
-    return _log_mass_of(table, sel_b) - _log_mass_of(table, sel_a)
+    lu = table.log_unnormalized
+    return log_sum_exp(lu[sel_b]) - log_sum_exp(lu[sel_a])
 
 
 def odds_error_bounds(
@@ -222,7 +242,8 @@ def class_size_test(
     table = exact_posterior(x, prior, model)
     sel_a = table.class_sizes == m0
     sel_b = (table.class_sizes == m1) if m1 is not None else ~sel_a
-    log_f = _log_mass_of(table, sel_b) - _log_mass_of(table, sel_a)
+    lu = table.log_unnormalized
+    log_f = log_sum_exp(lu[sel_b]) - log_sum_exp(lu[sel_a])
     one_sided = two_term = None
     if a_n is not None:
         one_sided, two_term = odds_error_bounds(a_n, threshold, b_n)

@@ -26,6 +26,7 @@ __all__ = [
     "canonicalize",
     "enumerate_labelings",
     "canonical_words",
+    "canonical_keys",
     "num_labelings",
     "hamming",
     "sym_distance",
@@ -37,9 +38,9 @@ __all__ = [
     "derive_rng",
 ]
 
-# Full enumeration of the 2^(n-1) canonical labelings is quadratic-ish work
-# per labeling downstream; past this point exact computation stops being a
-# desk-scale operation.
+# Exact inference holds several arrays over all 2^(n-1) canonical labelings
+# (and scores the 2^n raw ones), so each extra vertex doubles its time and
+# memory; the cap keeps one exact query under a second and a few hundred MB.
 ENUMERATION_CAP = 22
 
 
@@ -151,7 +152,6 @@ def _bit_reverse(u: np.ndarray, n: int) -> np.ndarray:
     return v >> np.uint32(32 - n)
 
 
-@lru_cache(maxsize=8)
 def canonical_words(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
     """All canonical label words for n vertices, in lexicographic bit order.
 
@@ -162,6 +162,11 @@ def canonical_words(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > cap:
         raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    return _canonical_words(n)
+
+
+@lru_cache(maxsize=8)
+def _canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Ascending integers u, read MSB-first as bit sequences, are exactly
     # lexicographic order; words store the same bits LSB-first.
     u = np.arange(1 << n, dtype=np.uint32)
@@ -174,6 +179,19 @@ def canonical_words(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.
     words.setflags(write=False)
     mm.setflags(write=False)
     return words, mm
+
+
+@lru_cache(maxsize=8)
+def canonical_keys(n: int) -> np.ndarray:
+    """Sort keys of canonical_words(n): each labeling string read as a
+    binary number, i.e. the word with its low n bits reversed.
+
+    The keys ascend, so np.searchsorted on them gives a labeling's index.
+    Built on first use only, since most queries never look a labeling up.
+    """
+    keys = _bit_reverse(_canonical_words(n)[0], n)
+    keys.setflags(write=False)
+    return keys
 
 
 def num_labelings(n: int, m: int | None = None) -> int:

@@ -20,6 +20,7 @@ from .model import (
     EdgeModel,
     Graph,
     LabelVector,
+    canonical_keys,
     canonical_words,
     canonicalize_word,
     derive_rng,
@@ -35,51 +36,38 @@ __all__ = [
     "posterior_mode",
     "mcmc_posterior",
     "within_edge_counts",
-    "within_edge_counts_gray",
+    "log_sum_exp",
 ]
 
 
 def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
     """Within-class edge count for each packed labeling word.
 
-    Plain recomputation over the edge list; this is the correctness
-    baseline for the incremental walk below.
-    """
-    ei, ej = x.edge_index_arrays
-    counts = np.zeros(len(words), dtype=np.int64)
-    w = words.astype(np.uint64)
-    for i, j in zip(ei.tolist(), ej.tolist()):
-        counts += (((w >> np.uint64(i)) ^ (w >> np.uint64(j))) & np.uint64(1) == 0)
-    return counts
-
-
-def within_edge_counts_gray(x: Graph) -> np.ndarray:
-    """Within-class edge counts via an incremental Gray-code walk.
-
-    Walks all raw labelings flipping one vertex per step and updating the
-    count in O(1) bit operations, recording the canonical ones. Returns
-    counts aligned with canonical_words(x.n) order; must match the plain
-    recomputation exactly.
+    Counts every raw labeling of the n vertices by vertex doubling, then
+    gathers ``words``. With the vertices from k up at label 0, giving
+    vertex k label 1 makes its edges to the 1-labelled lower vertices
+    within-class and all its other edges split. So the counts for labelings
+    j + 2^k (j < 2^k) are those for j plus
+    2·popcount(j & mask_<k) − deg(k): n vectorised passes over 2^n counts.
+    int16 holds the n(n-1)/2 edges of every n that uint32 words allow.
     """
     n = x.n
-    words, _ = canonical_words(n)
-    index = {int(wd): k for k, wd in enumerate(words)}
-    out = np.zeros(len(words), dtype=np.int64)
-    masks = x.neighbor_masks
-    degs = [m.bit_count() for m in masks]
-    w = 0
-    s = x.num_edges  # all labels equal: every edge is within-class
-    out[index[0]] = s
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        same_with_ones = (masks[v] & w).bit_count()
-        e_same = same_with_ones if (w >> v) & 1 else degs[v] - same_with_ones
-        s += degs[v] - 2 * e_same
-        w ^= 1 << v
-        k = index.get(w)
-        if k is not None:
-            out[k] = s
-    return out
+    s = np.empty(1 << n, dtype=np.int16)
+    s[0] = x.num_edges
+    j = np.arange(1 << (n - 1), dtype=np.uint32)
+    for k, mask in enumerate(x.neighbor_masks):
+        half = 1 << k
+        lower = np.bitwise_count(j[:half] & np.uint32(mask & (half - 1)))
+        s[half:2 * half] = s[:half] + 2 * lower - mask.bit_count()
+    return s[words]
+
+
+def log_sum_exp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the maximum; -inf when empty."""
+    if len(values) == 0:
+        return -math.inf
+    mx = float(values.max())
+    return mx + math.log(float(np.sum(np.exp(values - mx))))
 
 
 def _within_pair_counts(ms: np.ndarray, n: int) -> np.ndarray:
@@ -91,22 +79,36 @@ class PosteriorTable:
     """Exact normalized posterior over all canonical labelings.
 
     Stores packed words in lexicographic bit order with parallel arrays of
-    log unnormalized mass and probability. Immutable after construction.
+    log unnormalized mass and probability. Labelings fall into levels that
+    share one log mass; for an exact posterior a level is a pair (m, s) of
+    smaller-class size and within-class edge count. Immutable after
+    construction.
     """
 
     __slots__ = ("n", "words", "class_sizes", "log_unnormalized", "log_normalizer",
-                 "probabilities", "_index")
+                 "probabilities", "_level", "_level_log_mass", "_level_count")
 
     def __init__(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                 log_unnormalized: np.ndarray):
+                 log_unnormalized: np.ndarray,
+                 levels: tuple[np.ndarray, np.ndarray] | None = None):
+        """``levels`` is (level, level_log_mass), with log_unnormalized equal
+        to level_log_mass[level]. Without it every distinct value of
+        log_unnormalized is a level."""
         self.n = n
         self.words = words
         self.class_sizes = class_sizes
-        mx = float(np.max(log_unnormalized))
-        self.log_normalizer = mx + math.log(float(np.sum(np.exp(log_unnormalized - mx))))
+        if levels is None:
+            level_log_mass, level = np.unique(log_unnormalized, return_inverse=True)
+            levels = level, level_log_mass
+        self._level, level_log_mass = levels
+        self._level_count = np.bincount(self._level, minlength=len(level_log_mass))
+        # a level no labeling reaches may lie far above the normalizer; it
+        # gets no mass, so that exp neither overflows nor warns on it
+        self._level_log_mass = np.where(self._level_count > 0, level_log_mass, -np.inf)
         self.log_unnormalized = log_unnormalized
-        self.probabilities = np.exp(log_unnormalized - self.log_normalizer)
-        self._index: dict[int, int] | None = None
+        self.log_normalizer = log_sum_exp(log_unnormalized)
+        # one exp per level; elementwise the same values as exp over labelings
+        self.probabilities = np.exp(self._level_log_mass - self.log_normalizer)[self._level]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -114,9 +116,15 @@ class PosteriorTable:
     def _lookup(self, theta: LabelVector) -> int:
         if theta.n != self.n:
             raise ValueError(f"vertex counts differ: {theta.n} vs {self.n}")
-        if self._index is None:
-            self._index = {int(w): k for k, w in enumerate(self.words)}
-        return self._index[theta.word]
+        k = int(np.searchsorted(canonical_keys(self.n), int(theta.to_string(), 2)))
+        if k >= len(self.words) or int(self.words[k]) != theta.word:
+            raise KeyError(theta)
+        return k
+
+    def level_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per level: the probability of each of its labelings, and how
+        many labelings it holds (both 0 for levels no labeling reaches)."""
+        return np.exp(self._level_log_mass - self.log_normalizer), self._level_count
 
     def probability(self, theta: LabelVector) -> float:
         return float(self.probabilities[self._lookup(theta)])
@@ -189,21 +197,29 @@ def exact_posterior(
     x: Graph, prior: PriorSpec, model: EdgeModel, cap: int = ENUMERATION_CAP
 ) -> PosteriorTable:
     """Score every canonical labeling: mass proportional to prior times
-    likelihood, normalized by a max-shifted log-sum-exp."""
+    likelihood, normalized by a max-shifted log-sum-exp.
+
+    Prior and likelihood depend on a labeling only through its level: its
+    smaller-class size m and within-class edge count s. So the log mass is
+    evaluated once on the (n//2 + 1) x (E + 1) grid of levels and gathered.
+    """
     n = x.n
     words, ms = canonical_words(n, cap)
-    we = within_edge_counts(x, words)
-    wp = _within_pair_counts(ms, n)
-    total_pairs = n * (n - 1) // 2
     e = x.num_edges
+    level = ms.astype(np.int32) * (e + 1) + within_edge_counts(x, words)
+    we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
+    wp = _within_pair_counts(np.arange(n // 2 + 1), n)[:, np.newaxis]
+    total_pairs = n * (n - 1) // 2
     ll = (
         we * math.log(model.p)
         + (wp - we) * math.log1p(-model.p)
         + (e - we) * math.log(model.q)
         + ((total_pairs - wp) - (e - we)) * math.log1p(-model.q)
     )
-    lp = np.asarray(log_mass_by_class_size(prior, n))[ms]
-    return PosteriorTable(n, words, ms.astype(np.int64), lp + ll)
+    lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
+    level_log_mass = (lp + ll).ravel()
+    return PosteriorTable(n, words, ms.astype(np.int64), level_log_mass[level],
+                          levels=(level, level_log_mass))
 
 
 def posterior_mass(

@@ -1,11 +1,15 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from bisect_bayes import (
     EdgeModel,
     FixedBernoulli,
     LabelVector,
+    PosteriorTable,
+    UniformClassSize,
     class_size_test,
     confidence_lower_bound,
     enlarge,
@@ -17,6 +21,7 @@ from bisect_bayes import (
     sample_graph,
     sym_distance,
 )
+from bisect_bayes import inference
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -71,6 +76,73 @@ class TestHpdCredibleSet:
         for gamma in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 hpd_credible_set(table, gamma)
+
+
+def full_sort_hpd(table, gamma):
+    """Reference HPD set: greedy over the full stable descending order."""
+    members, mass = [], 0.0
+    for k in np.argsort(-table.probabilities, kind="stable"):
+        members.append(LabelVector(table.n, int(table.words[k])))
+        mass += float(table.probabilities[k])
+        if mass >= 1.0 - gamma:
+            break
+    return frozenset(members), mass
+
+
+def hpd_table(case):
+    if case in ("sharp", "unleveled"):
+        table, _ = peaked_table(n=12, p=0.7, q=0.2, seed=5)
+        if case == "unleveled":
+            # built without levels: every distinct mass is its own level
+            table = PosteriorTable(table.n, table.words, table.class_sizes,
+                                   table.log_unnormalized)
+        return table
+    graph, model, prior = {
+        "flat": (sample_graph(LabelVector.from_string("0" * 9 + "1" * 5),
+                              EdgeModel(0.5, 0.45), 2),
+                 EdgeModel(0.5, 0.45), UniformClassSize()),
+        "tied": (sample_graph(LabelVector(11, 0), EdgeModel(0.5, 0.5), 1),
+                 EdgeModel(0.5, 0.5), UNIFORM),
+        # a model far from the data: levels no labeling reaches lie more
+        # than 709 nats (where exp overflows) above the normalizer
+        "far": (sample_graph(LabelVector(12, 0), EdgeModel(0.9, 0.9), 7),
+                EdgeModel(0.0001, 0.9999), UNIFORM),
+    }[case]
+    return exact_posterior(graph, prior, model)
+
+
+class TestHpdMatchesFullSort:
+    @pytest.mark.parametrize("case", ["sharp", "flat", "tied", "unleveled", "far"])
+    @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.5, 0.999])
+    def test_same_members_and_mass(self, case, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = hpd_table(case)
+            hpd = hpd_credible_set(table, gamma)
+        members, mass = full_sort_hpd(table, gamma)
+        assert hpd.members == members
+        assert hpd.achieved_mass == mass
+
+    def test_tied_table_ties_up_to_rounding(self):
+        prob = hpd_table("tied").probabilities
+        assert prob.max() == pytest.approx(prob.min(), rel=1e-12)
+
+    def test_fallback_when_candidates_run_out(self, monkeypatch):
+        # a cutoff chosen with a negative margin leaves too few candidates,
+        # so the greedy sum must fall back to the full order
+        table = hpd_table("flat")
+        calls = []
+        greedy = inference._greedy
+
+        def counting(t, indices, target):
+            calls.append(len(indices))
+            return greedy(t, indices, target)
+
+        monkeypatch.setattr(inference, "_HPD_MARGIN", -0.5)
+        monkeypatch.setattr(inference, "_greedy", counting)
+        hpd = hpd_credible_set(table, 0.05)
+        assert calls[-1] == len(table) > calls[0]
+        assert (hpd.members, hpd.achieved_mass) == full_sort_hpd(table, 0.05)
 
 
 class TestEnlarge:

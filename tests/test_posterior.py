@@ -24,23 +24,52 @@ from bisect_bayes import (
     sample_graph,
 )
 from bisect_bayes.model import canonical_words
-from bisect_bayes.posterior import (
-    PosteriorTable,
-    within_edge_counts,
-    within_edge_counts_gray,
-)
+from bisect_bayes.posterior import PosteriorTable, within_edge_counts
+from bisect_bayes.priors import log_mass_by_class_size
 
 UNIFORM = FixedBernoulli(0.5)
 
 
+def edge_loop_counts(x, words):
+    """Reference within-class edge counts: one pass over the words per edge."""
+    ei, ej = x.edge_index_arrays
+    counts = np.zeros(len(words), dtype=np.int64)
+    w = words.astype(np.uint64)
+    for i, j in zip(ei.tolist(), ej.tolist()):
+        counts += (((w >> np.uint64(i)) ^ (w >> np.uint64(j))) & np.uint64(1) == 0)
+    return counts
+
+
+def per_labeling_log_mass(x, prior, model):
+    """Reference log unnormalized mass: the prior-plus-likelihood
+    expression evaluated for each labeling on its own counts."""
+    n = x.n
+    words, ms = canonical_words(n)
+    we = edge_loop_counts(x, words)
+    m = ms.astype(np.int64)
+    wp = m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
+    total_pairs = n * (n - 1) // 2
+    e = x.num_edges
+    ll = (
+        we * math.log(model.p)
+        + (wp - we) * math.log1p(-model.p)
+        + (e - we) * math.log(model.q)
+        + ((total_pairs - wp) - (e - we)) * math.log1p(-model.q)
+    )
+    return np.asarray(log_mass_by_class_size(prior, n))[ms] + ll
+
+
 class TestWithinEdgeCounts:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 12])
-    def test_gray_walk_matches_baseline_exactly(self, n):
-        model = EdgeModel(0.6, 0.25)
-        for seed in range(3):
-            g = sample_graph(LabelVector(n, 0), model, seed)
-            words, _ = canonical_words(n)
-            assert np.array_equal(within_edge_counts(g, words), within_edge_counts_gray(g))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_edge_loop_exactly(self, n):
+        words, _ = canonical_words(n)
+        graphs = [
+            Graph(n, []),
+            Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+        ] + [sample_graph(LabelVector(n, 0), EdgeModel(0.6, 0.25), seed)
+             for seed in range(3)]
+        for g in graphs:
+            assert np.array_equal(within_edge_counts(g, words), edge_loop_counts(g, words))
 
 
 class TestExactPosterior:
@@ -95,6 +124,35 @@ class TestExactPosterior:
         assert len(table) == 1 << (n - 1)
         assert abs(float(table.probabilities.sum()) - 1.0) < 1e-10
         assert (table.probabilities >= 0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 12])
+    @pytest.mark.parametrize("prior, p, q", [
+        (UNIFORM, 0.7, 0.2),
+        (BetaBernoulli(1.5, 2.5), 0.3, 0.6),
+        (UniformClassSize(), 0.5, 0.45),
+        (UNIFORM, 0.4, 0.4),
+    ])
+    def test_level_grid_matches_per_labeling_formula(self, n, prior, p, q):
+        model = EdgeModel(p, q)
+        g = sample_graph(canonicalize([v % 2 for v in range(n)]), model, 5)
+        table = exact_posterior(g, prior, model)
+        assert np.array_equal(table.log_unnormalized, per_labeling_log_mass(g, prior, model))
+        direct = np.exp(table.log_unnormalized - table.log_normalizer)
+        assert np.array_equal(table.probabilities, direct)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lookup_finds_every_labeling(self, n):
+        model = EdgeModel(0.7, 0.2)
+        table = exact_posterior(sample_graph(LabelVector(n, 0), model, n), UNIFORM, model)
+        for k, theta in enumerate(table.labelings()):
+            assert table._lookup(theta) == k
+
+    def test_lookup_rejects_labeling_not_in_table(self):
+        table = exact_posterior(Graph(4, [(0, 1)]), UNIFORM, EdgeModel(0.6, 0.3))
+        partial = PosteriorTable(4, table.words[:3], table.class_sizes[:3],
+                                 table.log_unnormalized[:3])
+        with pytest.raises(KeyError):
+            partial.probability(LabelVector.from_string("0011"))
 
     def test_cap_guard(self):
         with pytest.raises(ValueError):
