@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -191,13 +192,9 @@ def _cmd_posterior(args) -> int:
             table.write_csv(f)
         inclusion = table.inclusion_probabilities()
     else:
-        n = graph.n
-        cfg = McmcConfig(
-            burn_in=args.burn_in or 10 * n * n,
-            samples=args.samples or 10_000,
-            thin=args.thin or n,
-            seed=args.seed,
-        )
+        given = {name: getattr(args, name) for name in ("burn_in", "samples", "thin")
+                 if getattr(args, name) is not None}
+        cfg = dataclasses.replace(McmcConfig.default(graph.n, args.seed), **given)
         result = mcmc_posterior(graph, prior, model, cfg)
         _write_sampled_csv(args.out, graph, prior, model, result)
         inclusion = result.inclusion_probabilities
@@ -236,11 +233,10 @@ def _cmd_credible(args) -> int:
     graph = _read_graph(args.graph)
     table = exact_posterior(graph, prior, model)
     hpd = hpd_credible_set(table, args.gamma)
-    members = hpd.members
-    if args.enlarge:
-        members = enlarge(hpd, args.enlarge).members
+    mask = enlarge(hpd, args.enlarge).mask
     payload = {
-        "members": sorted(th.to_string() for th in members),
+        # index order is lexicographic
+        "members": [LabelVector(table.n, int(w)).to_string() for w in table.words[mask]],
         "achieved_mass": hpd.achieved_mass,
         "gamma": args.gamma,
         "radius": args.enlarge,

@@ -19,7 +19,7 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from . import bounds as bnd
-from .inference import enlarge, hpd_credible_set
+from .inference import class_size_odds, enlarge, hpd_credible_set
 from .model import (
     CHERNOFF_HELLINGER,
     ENUMERATION_CAP,
@@ -37,7 +37,6 @@ from .model import (
 from .posterior import (
     McmcConfig,
     exact_posterior,
-    log_sum_exp,
     mcmc_posterior,
     posterior_mode,
 )
@@ -420,7 +419,6 @@ def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if cfg.kind != TEST_ERROR:
         raise ValueError(f"config kind {cfg.kind!r} is not {TEST_ERROR!r}")
     model = EdgeModel(cfg.p, cfg.q)
-    words, ms = canonical_words(cfg.n)
 
     def one_side(side: int, planted: Callable) -> list[tuple[float, float, float]]:
         def one(rep: int):
@@ -428,15 +426,7 @@ def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             theta0 = planted(rng)
             graph = sample_graph(theta0, model, rng)
             table = exact_posterior(graph, cfg.prior, model)
-            sel_a = table.class_sizes == cfg.m0
-            sel_b = (table.class_sizes == cfg.m1) if cfg.m1 is not None else ~sel_a
-            log_f = (log_sum_exp(table.log_unnormalized[sel_b])
-                     - log_sum_exp(table.log_unnormalized[sel_a]))
-            return (
-                log_f,
-                float(table.probabilities[sel_a].sum()),
-                float(table.probabilities[sel_b].sum()),
-            )
+            return class_size_odds(table, cfg.m0, cfg.m1)
 
         return _parallel(one, cfg.replications, threads)
 

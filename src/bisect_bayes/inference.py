@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .model import EdgeModel, Graph, LabelVector, canonical_words
+from .model import EdgeModel, Graph, LabelVector, canonical_index, canonical_words
 from .posterior import PosteriorTable, exact_posterior, log_sum_exp
 from .priors import PriorSpec
 
@@ -22,20 +23,43 @@ __all__ = [
     "confidence_lower_bound",
     "posterior_odds",
     "odds_error_bounds",
+    "class_size_odds",
     "class_size_test",
 ]
 
 
-@dataclass(frozen=True)
-class CredibleSet:
+class _LabelingMask:
+    """A set of canonical labelings on ``n`` vertices, held as a read-only
+    boolean ``mask`` over canonical_words(n)."""
+
+    def _freeze_mask(self) -> None:
+        """Check the mask's type and length, and make it read-only."""
+        if self.mask.dtype != bool or self.mask.shape != (1 << (self.n - 1),):
+            raise ValueError(f"mask must be a boolean array over the "
+                             f"{1 << (self.n - 1)} canonical labelings")
+        self.mask.setflags(write=False)
+
+    def __contains__(self, theta: LabelVector) -> bool:
+        return theta.n == self.n and bool(self.mask[canonical_index(theta)])
+
+    @cached_property
+    def members(self) -> frozenset[LabelVector]:
+        words, _ = canonical_words(self.n)
+        return frozenset(LabelVector(self.n, int(w)) for w in words[self.mask])
+
+
+@dataclass(frozen=True, eq=False)
+class CredibleSet(_LabelingMask):
     """Set of labelings with posterior mass at least 1 - gamma."""
 
-    members: frozenset[LabelVector]
+    n: int
+    mask: np.ndarray
     gamma: float
     achieved_mass: float
 
     def __post_init__(self) -> None:
-        if not self.members:
+        self._freeze_mask()
+        if not self.mask.any():
             raise ValueError("credible set must be nonempty")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma={self.gamma} must lie in (0, 1)")
@@ -45,30 +69,25 @@ class CredibleSet:
                 f"{1.0 - self.gamma}"
             )
 
-    def __contains__(self, theta: LabelVector) -> bool:
-        return theta in self.members
 
-    @property
-    def n(self) -> int:
-        return next(iter(self.members)).n
-
-
-@dataclass(frozen=True)
-class EnlargedSet:
+@dataclass(frozen=True, eq=False)
+class EnlargedSet(_LabelingMask):
     """A credible set widened by a distance radius, for frequentist coverage."""
 
     base: CredibleSet
     radius: int
-    members: frozenset[LabelVector]
+    mask: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.base.n
 
     def __post_init__(self) -> None:
+        self._freeze_mask()
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
-        if not self.base.members <= self.members:
+        if (self.base.mask & ~self.mask).any():
             raise ValueError("enlargement must contain its base")
-
-    def __contains__(self, theta: LabelVector) -> bool:
-        return theta in self.members
 
 
 # Relative rounding of the level mass sums is at most about 1e-16 times the
@@ -94,43 +113,62 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     reached = np.cumsum(prob[by_mass] * count[by_mass])
     cut = min(int(np.searchsorted(reached, target + _HPD_MARGIN)), len(by_mass) - 1)
     candidates = np.flatnonzero(table.probabilities >= prob[by_mass[cut]])
-    members, mass = _greedy(table, candidates, target)
+    chosen, mass = _greedy(table, candidates, target)
     if mass < target and len(candidates) < len(table):
-        members, mass = _greedy(table, np.arange(len(table)), target)
-    return CredibleSet(members=frozenset(members), gamma=gamma, achieved_mass=mass)
+        chosen, mass = _greedy(table, np.arange(len(table)), target)
+    mask = np.zeros(len(table), dtype=bool)
+    mask[chosen] = True
+    return CredibleSet(n=table.n, mask=mask, gamma=gamma, achieved_mass=mass)
 
 
 def _greedy(table: PosteriorTable, indices: np.ndarray,
-            target: float) -> tuple[list[LabelVector], float]:
-    """Add labelings from ``indices`` in decreasing probability, ties in
-    index order, until their mass reaches ``target``."""
+            target: float) -> tuple[np.ndarray, float]:
+    """Take labelings from ``indices`` in decreasing probability, ties in
+    index order, until their mass reaches ``target``. Returns the indices
+    taken and their mass.
+
+    cumsum adds left to right in float64, the same additions as a running
+    sum, and its prefix sums never decrease, so searchsorted finds the
+    first one that reaches the target.
+    """
     order = indices[np.argsort(-table.probabilities[indices], kind="stable")]
-    members = []
-    mass = 0.0
-    for k in order:
-        members.append(LabelVector(table.n, int(table.words[k])))
-        mass += float(table.probabilities[k])
-        if mass >= target:
-            break
-    return members, mass
+    reached = np.cumsum(table.probabilities[order])
+    k = min(int(np.searchsorted(reached, target)), len(order) - 1)
+    return order[:k + 1], float(reached[k])
 
 
 def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
     """All labelings within complement-folded distance < radius of some
-    member, together with the set itself. radius 0 adds nothing."""
+    member, together with the set itself. Radii 0 and 1 add nothing.
+
+    A labeling lies within folded distance d of a member when it lies
+    within Hamming distance d of the member or of its complement. So the
+    members and their complements are marked on the raw cube of all 2^n
+    labelings, the marks are dilated radius - 1 times by single-bit flips,
+    and the result is read back at the canonical words. Folded distances
+    never exceed n // 2, so more dilations than that change nothing.
+    """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     n = credible.n
-    if radius == 0:
-        return EnlargedSet(base=credible, radius=0, members=credible.members)
-    words, _ = canonical_words(n)
-    keep = np.zeros(len(words), dtype=bool)
-    for member in credible.members:
-        k = np.bitwise_count(words ^ np.uint32(member.word)).astype(np.int64)
-        keep |= np.minimum(k, n - k) < radius
-    members = {LabelVector(n, int(w)) for w in words[keep]}
-    members.update(credible.members)
-    return EnlargedSet(base=credible, radius=radius, members=frozenset(members))
+    mask = credible.mask
+    steps = min(radius - 1, n // 2)
+    if steps > 0:
+        words, _ = canonical_words(n)
+        marked = words[mask]
+        raw = np.zeros(1 << n, dtype=bool)
+        raw[marked] = True
+        raw[marked ^ np.uint32((1 << n) - 1)] = True
+        for _ in range(steps):
+            grown = raw.copy()
+            for v in range(n):
+                # the middle axis is bit v of the raw index: reversing it
+                # flips that bit
+                view = grown.reshape(-1, 2, 1 << v)
+                view |= raw.reshape(-1, 2, 1 << v)[:, ::-1]
+            raw = grown
+        mask = raw[words]
+    return EnlargedSet(base=credible, radius=radius, mask=mask)
 
 
 def confidence_lower_bound(x_n: float, gamma: float) -> float:
@@ -142,25 +180,33 @@ def confidence_lower_bound(x_n: float, gamma: float) -> float:
     return 1.0 - x_n / (1.0 - gamma)
 
 
-def posterior_odds(
-    table: PosteriorTable,
-    a_set: Callable[[LabelVector], bool],
-    b_set: Callable[[LabelVector], bool],
-) -> float:
+Selection = Union[np.ndarray, Callable[[LabelVector], bool]]
+
+
+def _as_mask(table: PosteriorTable, selection: Selection) -> np.ndarray:
+    if callable(selection):
+        return table.select(selection)
+    mask = np.asarray(selection)
+    if mask.dtype != bool or mask.shape != (len(table),):
+        raise ValueError(f"a selection must be a predicate or a boolean mask "
+                         f"over the table's {len(table)} labelings")
+    return mask
+
+
+def posterior_odds(table: PosteriorTable, a_set: Selection, b_set: Selection) -> float:
     """log posterior odds of b_set against a_set.
 
-    The sets must be disjoint and a_set must carry positive mass. Computed
-    via log-sum-exp over unnormalized masses, so the normalizer cancels.
+    Each set is a boolean mask over the table's index, or a predicate on
+    labelings. The sets must be disjoint and a_set must carry positive
+    mass. Computed via log-sum-exp over unnormalized masses, so the
+    normalizer cancels.
     """
-    sel_a = np.zeros(len(table), dtype=bool)
-    sel_b = np.zeros(len(table), dtype=bool)
-    for k, theta in enumerate(table.labelings()):
-        in_a = bool(a_set(theta))
-        in_b = bool(b_set(theta))
-        if in_a and in_b:
-            raise ValueError(f"hypothesis sets overlap at {theta}")
-        sel_a[k] = in_a
-        sel_b[k] = in_b
+    sel_a = _as_mask(table, a_set)
+    sel_b = _as_mask(table, b_set)
+    overlap = np.flatnonzero(sel_a & sel_b)
+    if len(overlap):
+        theta = LabelVector(table.n, int(table.words[overlap[0]]))
+        raise ValueError(f"hypothesis sets overlap at {theta}")
     if not sel_a.any():
         raise ValueError("null set carries no posterior mass")
     lu = table.log_unnormalized
@@ -216,6 +262,19 @@ class OddsTestResult:
         }
 
 
+def class_size_odds(table: PosteriorTable, m0: int,
+                    m1: Optional[int]) -> tuple[float, float, float]:
+    """log posterior odds of smaller-class size m1 (None: every other
+    labeling) against m0, with the posterior masses of m0 and of m1."""
+    sel_a = table.class_sizes == m0
+    sel_b = (table.class_sizes == m1) if m1 is not None else ~sel_a
+    return (
+        posterior_odds(table, sel_a, sel_b),
+        float(table.probabilities[sel_a].sum()),
+        float(table.probabilities[sel_b].sum()),
+    )
+
+
 def class_size_test(
     x: Graph,
     prior: PriorSpec,
@@ -240,10 +299,7 @@ def class_size_test(
     if m1 == m0:
         raise ValueError("hypotheses must name different class sizes")
     table = exact_posterior(x, prior, model)
-    sel_a = table.class_sizes == m0
-    sel_b = (table.class_sizes == m1) if m1 is not None else ~sel_a
-    lu = table.log_unnormalized
-    log_f = log_sum_exp(lu[sel_b]) - log_sum_exp(lu[sel_a])
+    log_f, mass_h0, mass_h1 = class_size_odds(table, m0, m1)
     one_sided = two_term = None
     if a_n is not None:
         one_sided, two_term = odds_error_bounds(a_n, threshold, b_n)
@@ -253,6 +309,6 @@ def class_size_test(
         reject_null=log_f > math.log(threshold),
         error_bound_one_sided=one_sided,
         error_bound_two_term=two_term,
-        mass_h0=float(table.probabilities[sel_a].sum()),
-        mass_h1=float(table.probabilities[sel_b].sum()),
+        mass_h0=mass_h0,
+        mass_h1=mass_h1,
     )

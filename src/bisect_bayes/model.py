@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_labelings",
     "canonical_words",
     "canonical_keys",
+    "canonical_index",
     "num_labelings",
     "hamming",
     "sym_distance",
@@ -192,6 +193,11 @@ def canonical_keys(n: int) -> np.ndarray:
     keys = _bit_reverse(_canonical_words(n)[0], n)
     keys.setflags(write=False)
     return keys
+
+
+def canonical_index(theta: LabelVector) -> int:
+    """Position of theta in canonical_words(theta.n)."""
+    return int(np.searchsorted(canonical_keys(theta.n), int(theta.to_string(), 2)))
 
 
 def num_labelings(n: int, m: int | None = None) -> int:

@@ -20,7 +20,7 @@ from .model import (
     EdgeModel,
     Graph,
     LabelVector,
-    canonical_keys,
+    canonical_index,
     canonical_words,
     canonicalize_word,
     derive_rng,
@@ -116,7 +116,7 @@ class PosteriorTable:
     def _lookup(self, theta: LabelVector) -> int:
         if theta.n != self.n:
             raise ValueError(f"vertex counts differ: {theta.n} vs {self.n}")
-        k = int(np.searchsorted(canonical_keys(self.n), int(theta.to_string(), 2)))
+        k = canonical_index(theta)
         if k >= len(self.words) or int(self.words[k]) != theta.word:
             raise KeyError(theta)
         return k
@@ -137,23 +137,20 @@ class PosteriorTable:
         for k, w in enumerate(self.words):
             yield LabelVector(self.n, int(w)), float(self.probabilities[k])
 
-    @property
-    def entries(self) -> dict[LabelVector, float]:
-        return dict(self.items())
-
     def mode(self) -> LabelVector:
         # words are in lexicographic order, so the first argmax breaks ties
         # lexicographically
         return LabelVector(self.n, int(self.words[int(np.argmax(self.probabilities))]))
 
-    def mass(self, predicate: Callable[[LabelVector], bool]) -> float:
-        sel = np.fromiter(
+    def select(self, predicate: Callable[[LabelVector], bool]) -> np.ndarray:
+        """Boolean mask over the table's index of the labelings satisfying
+        the predicate."""
+        return np.fromiter(
             (predicate(th) for th in self.labelings()), dtype=bool, count=len(self)
         )
-        return float(self.probabilities[sel].sum())
 
-    def mass_of_point(self, theta: LabelVector) -> float:
-        return self.probability(theta)
+    def mass(self, predicate: Callable[[LabelVector], bool]) -> float:
+        return float(self.probabilities[self.select(predicate)].sum())
 
     def mass_of_class_size(self, m: int) -> float:
         return float(self.probabilities[self.class_sizes == m].sum())
@@ -218,7 +215,7 @@ def exact_posterior(
     )
     lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
     level_log_mass = (lp + ll).ravel()
-    return PosteriorTable(n, words, ms.astype(np.int64), level_log_mass[level],
+    return PosteriorTable(n, words, ms, level_log_mass[level],
                           levels=(level, level_log_mass))
 
 

@@ -96,6 +96,26 @@ class TestPosterior:
         rows = list(csv.DictReader(open(post)))
         assert abs(sum(float(r["probability"]) for r in rows) - 1.0) < 1e-9
 
+    def test_mcmc_flags_override_only_their_defaults(self, tmp_path, graph_file):
+        # n=10: the default burn-in is 10 n^2 and the default thinning n
+        common = ["posterior", "--graph", str(graph_file), "--prior", "uniform-m",
+                  "--p", "0.9", "--q", "0.1", "--mode", "mcmc", "--samples", "50",
+                  "--seed", "3"]
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert main([*common, "--out", str(implicit)]) == 0
+        assert main([*common, "--burn-in", "1000", "--thin", "10",
+                     "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+    def test_mcmc_zero_count_exits_2(self, tmp_path, graph_file, capsys):
+        code, _, err = run([
+            "posterior", "--graph", str(graph_file), "--prior", "uniform-m",
+            "--p", "0.9", "--q", "0.1", "--mode", "mcmc", "--burn-in", "0",
+            "--out", str(tmp_path / "x.csv"),
+        ], capsys)
+        assert code == 2
+        assert "burn_in must be positive" in err
+
     def test_boundary_probability_exits_2(self, tmp_path, graph_file, capsys):
         code, _, err = run([
             "posterior", "--graph", str(graph_file), "--prior", "bernoulli:r=0.5",

@@ -34,7 +34,8 @@ GRAPHS = {
     "n12-tied": ("bernoulli:r=0.5", 0.4, 0.4),
     "n14-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
 }
-EXPERIMENTS = ("coverage-flat", "test-error", "bound-check", "recovery", "phase-diagram")
+EXPERIMENTS = ("coverage-flat", "coverage-r2", "test-error", "bound-check", "recovery",
+               "phase-diagram")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -48,11 +49,13 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
              "--marginals-out", "{out}/marginals.csv"],
             ["posterior.csv", "marginals.csv"],
         )
-        cases[f"{stem}:credible"] = (
-            ["credible", *common, "--gamma", "0.05", "--enlarge", "1",
-             "--out", "{out}/credible.json"],
-            ["credible.json"],
-        )
+        # radius 1 leaves the set as it is; radii 2 and 3 widen it
+        for radius, suffix in ((1, ""), (2, "-r2"), (3, "-r3")):
+            cases[f"{stem}:credible{suffix}"] = (
+                ["credible", *common, "--gamma", "0.05", "--enlarge", str(radius),
+                 "--out", "{out}/credible.json"],
+                ["credible.json"],
+            )
         cases[f"{stem}:test"] = (
             ["test", *common, "--m0", "0", "--complement", "--out", "{out}/test.json"],
             ["test.json"],

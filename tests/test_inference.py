@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from bisect_bayes import (
+    CredibleSet,
     EdgeModel,
+    EnlargedSet,
     FixedBernoulli,
     LabelVector,
     PosteriorTable,
     UniformClassSize,
+    canonical_words,
     class_size_test,
     confidence_lower_bound,
     enlarge,
@@ -194,6 +197,74 @@ class TestEnlarge:
             assert len(enlarge(hpd, 2).members) > len(hpd.members)
 
 
+def scan_enlarge(credible, radius):
+    """Reference enlargement: scan every canonical labeling once per member
+    for folded distance < radius."""
+    n = credible.n
+    if radius == 0:
+        return credible.members
+    words, _ = canonical_words(n)
+    keep = np.zeros(len(words), dtype=bool)
+    for member in credible.members:
+        k = np.bitwise_count(words ^ np.uint32(member.word)).astype(np.int64)
+        keep |= np.minimum(k, n - k) < radius
+    members = {LabelVector(n, int(w)) for w in words[keep]}
+    members.update(credible.members)
+    return frozenset(members)
+
+
+def sharp_or_flat_hpd(kind, n):
+    if kind == "sharp":
+        model, prior = EdgeModel(0.7, 0.2), UNIFORM
+    else:
+        model, prior = EdgeModel(0.5, 0.45), UniformClassSize()
+    theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
+    table = exact_posterior(sample_graph(theta0, model, n), prior, model)
+    return hpd_credible_set(table, 0.05)
+
+
+class TestEnlargeMatchesScan:
+    @pytest.mark.parametrize("kind", ["sharp", "flat"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_radius(self, kind, n):
+        hpd = sharp_or_flat_hpd(kind, n)
+        for radius in range(n + 2):
+            assert enlarge(hpd, radius).members == scan_enlarge(hpd, radius)
+
+
+class TestMaskSets:
+    @pytest.mark.parametrize("kind", ["sharp", "flat"])
+    def test_membership_agrees_with_members(self, kind):
+        hpd = sharp_or_flat_hpd(kind, 9)
+        for s in (hpd, enlarge(hpd, 2)):
+            assert not s.mask.flags.writeable
+            for theta in enumerate_labelings(9):
+                assert (theta in s) == (theta in s.members)
+            assert LabelVector(8, 0) not in s
+
+    def test_enlargement_must_contain_its_base(self):
+        hpd = sharp_or_flat_hpd("sharp", 8)
+        smaller = hpd.mask.copy()
+        smaller[np.flatnonzero(smaller)[0]] = False
+        with pytest.raises(ValueError, match="contain its base"):
+            EnlargedSet(base=hpd, radius=2, mask=smaller)
+
+    def test_negative_radius_rejected(self):
+        hpd = sharp_or_flat_hpd("sharp", 8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            EnlargedSet(base=hpd, radius=-1, mask=hpd.mask)
+        with pytest.raises(ValueError, match="nonnegative"):
+            enlarge(hpd, -1)
+
+    def test_mask_must_span_the_index(self):
+        for mask in (np.ones(64, dtype=bool), np.ones(128, dtype=np.uint8)):
+            with pytest.raises(ValueError, match="boolean array"):
+                CredibleSet(n=8, mask=mask, gamma=0.05, achieved_mass=1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            CredibleSet(n=8, mask=np.zeros(128, dtype=bool), gamma=0.05,
+                        achieved_mass=1.0)
+
+
 class TestConfidenceLowerBound:
     def test_formula(self):
         assert confidence_lower_bound(0.01, 0.5) == pytest.approx(0.98, rel=1e-12)
@@ -235,6 +306,18 @@ class TestPosteriorOdds:
         table = flat_table(4)
         with pytest.raises(ValueError):
             posterior_odds(table, lambda t: False, lambda t: True)
+
+    def test_masks_match_predicates(self):
+        table, _ = peaked_table(n=8, seed=6)
+        a = lambda t: t.m == 4
+        b = lambda t: t.m < 2
+        by_mask = posterior_odds(table, table.class_sizes == 4, table.class_sizes < 2)
+        assert by_mask == posterior_odds(table, a, b)
+        with pytest.raises(ValueError, match="overlap"):
+            posterior_odds(table, table.class_sizes >= 3, table.class_sizes <= 3)
+        # an index array is not a mask
+        with pytest.raises(ValueError, match="boolean mask"):
+            posterior_odds(table, table.class_sizes == 4, np.flatnonzero(table.class_sizes < 2))
 
     def test_assortative_rejects_single_community(self):
         # Erdos-Renyi null against everything else, strongly assortative
@@ -318,6 +401,19 @@ class TestClassSizeTest:
             if result.log_f < 0:
                 favour_null += 1
         assert favour_null >= 0.95 * reps
+
+    @pytest.mark.parametrize("m1", [None, 0, 2])
+    def test_shared_odds_match_predicates(self, m1):
+        model = EdgeModel(0.7, 0.2)
+        g = sample_graph(LabelVector.from_string("0000111"), model, 2)
+        table = exact_posterior(g, UNIFORM, model)
+        log_f, mass_h0, mass_h1 = inference.class_size_odds(table, 3, m1)
+        in_b = (lambda t: t.m != 3) if m1 is None else (lambda t: t.m == m1)
+        assert log_f == posterior_odds(table, lambda t: t.m == 3, in_b)
+        assert mass_h0 == table.mass(lambda t: t.m == 3)
+        assert mass_h1 == table.mass(in_b)
+        result = class_size_test(g, UNIFORM, model, m0=3, m1=m1, threshold=1.0)
+        assert (result.log_f, result.mass_h0, result.mass_h1) == (log_f, mass_h0, mass_h1)
 
     def test_masses_reported(self):
         model = EdgeModel(0.7, 0.2)

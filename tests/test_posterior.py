@@ -147,6 +147,11 @@ class TestExactPosterior:
         for k, theta in enumerate(table.labelings()):
             assert table._lookup(theta) == k
 
+    def test_class_sizes_are_not_copied(self):
+        # every table of n vertices shares the cached class-size array
+        table = exact_posterior(Graph(10, [(0, 1), (2, 3)]), UNIFORM, EdgeModel(0.6, 0.3))
+        assert table.class_sizes is canonical_words(10)[1]
+
     def test_lookup_rejects_labeling_not_in_table(self):
         table = exact_posterior(Graph(4, [(0, 1)]), UNIFORM, EdgeModel(0.6, 0.3))
         partial = PosteriorTable(4, table.words[:3], table.class_sizes[:3],
