@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import bounds as bnd
 from .experiments import ExperimentConfig, run_experiment, write_result
 from .inference import class_size_test, enlarge, hpd_credible_set
-from .model import EdgeModel, Graph, LabelVector, sample_graph
+from .model import EdgeModel, Graph, LabelVector, label_strings, sample_graph
 from .posterior import McmcConfig, exact_posterior, mcmc_posterior
 from .priors import (
     bernoulli_ratio_sandwich_violations,
@@ -236,7 +236,7 @@ def _cmd_credible(args) -> int:
     mask = enlarge(hpd, args.enlarge).mask
     payload = {
         # index order is lexicographic
-        "members": [LabelVector(table.n, int(w)).to_string() for w in table.words[mask]],
+        "members": label_strings(table.words[mask], table.n),
         "achieved_mass": hpd.achieved_mass,
         "gamma": args.gamma,
         "radius": args.enlarge,

@@ -188,27 +188,44 @@ class ExperimentConfig:
             if name not in obj:
                 raise ValueError(f"config is missing required field {name!r}")
         kwargs = dict(
-            kind=obj["kind"],
-            n=int(obj["n"]),
-            prior=parse_prior(obj["prior"]),
-            replications=int(obj["replications"]),
-            master_seed=int(obj["master_seed"]),
+            kind=_config_value("kind", obj["kind"], str),
+            n=_config_value("n", obj["n"], int),
+            prior=parse_prior(_config_value("prior", obj["prior"], str)),
+            replications=_config_value("replications", obj["replications"], int),
+            master_seed=_config_value("master_seed", obj["master_seed"], int),
         )
         for name in ("p", "q", "gamma"):
             if name in obj:
-                kwargs[name] = float(obj[name])
+                kwargs[name] = _config_value(name, obj[name], float)
         for name in ("planted_m", "ball_radius", "m0", "m1", "radius"):
             if name in obj and obj[name] is not None:
-                kwargs[name] = int(obj[name])
+                kwargs[name] = _config_value(name, obj[name], int)
         for name in ("regime", "out"):
+            if name in obj and obj[name] is not None:
+                kwargs[name] = _config_value(name, obj[name], str)
+        for name in ("thresholds", "first_values", "second_values"):
             if name in obj:
-                kwargs[name] = obj[name]
-        if "thresholds" in obj:
-            kwargs["thresholds"] = tuple(float(t) for t in obj["thresholds"])
-        for name in ("first_values", "second_values"):
-            if name in obj:
-                kwargs[name] = tuple(float(v) for v in obj[name])
+                values = obj[name]
+                if not isinstance(values, list):
+                    raise ValueError(f"config field {name!r} must be a list of numbers, "
+                                     f"got {values!r}")
+                kwargs[name] = tuple(_config_value(name, v, float) for v in values)
         return cls(**kwargs)
+
+
+def _config_value(name: str, value, kind: type):
+    """A decoded JSON value of config field ``name``, checked to be a
+    string, an integer or (kind float) a number; true and false are none
+    of these."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else int) \
+            and not isinstance(value, bool)
+    if not ok:
+        what = {str: "a string", int: "an integer", float: "a number"}[kind]
+        raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

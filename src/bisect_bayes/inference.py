@@ -11,7 +11,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .model import EdgeModel, Graph, LabelVector, canonical_index, canonical_words
-from .posterior import PosteriorTable, exact_posterior, log_sum_exp
+from .posterior import PosteriorTable, exact_posterior
 from .priors import PriorSpec
 
 __all__ = [
@@ -112,7 +112,7 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     by_mass = np.argsort(-prob, kind="stable")
     reached = np.cumsum(prob[by_mass] * count[by_mass])
     cut = min(int(np.searchsorted(reached, target + _HPD_MARGIN)), len(by_mass) - 1)
-    candidates = np.flatnonzero(table.probabilities >= prob[by_mass[cut]])
+    candidates = np.flatnonzero((prob >= prob[by_mass[cut]])[table.level])
     chosen, mass = _greedy(table, candidates, target)
     if mass < target and len(candidates) < len(table):
         chosen, mass = _greedy(table, np.arange(len(table)), target)
@@ -125,16 +125,17 @@ def _greedy(table: PosteriorTable, indices: np.ndarray,
             target: float) -> tuple[np.ndarray, float]:
     """Take labelings from ``indices`` in decreasing probability, ties in
     index order, until their mass reaches ``target``. Returns the indices
-    taken and their mass.
+    taken and their mass. Probabilities are read from the level table.
 
     cumsum adds left to right in float64, the same additions as a running
     sum, and its prefix sums never decrease, so searchsorted finds the
     first one that reaches the target.
     """
-    order = indices[np.argsort(-table.probabilities[indices], kind="stable")]
-    reached = np.cumsum(table.probabilities[order])
-    k = min(int(np.searchsorted(reached, target)), len(order) - 1)
-    return order[:k + 1], float(reached[k])
+    prob = table.level_masses()[0][table.level[indices]]
+    by_prob = np.argsort(-prob, kind="stable")
+    reached = np.cumsum(prob[by_prob])
+    k = min(int(np.searchsorted(reached, target)), len(indices) - 1)
+    return indices[by_prob[:k + 1]], float(reached[k])
 
 
 def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
@@ -201,16 +202,22 @@ def posterior_odds(table: PosteriorTable, a_set: Selection, b_set: Selection) ->
     mass. Computed via log-sum-exp over unnormalized masses, so the
     normalizer cancels.
     """
-    sel_a = _as_mask(table, a_set)
-    sel_b = _as_mask(table, b_set)
+    return _odds(table, _as_mask(table, a_set), _as_mask(table, b_set))[0]
+
+
+def _odds(table: PosteriorTable, sel_a: np.ndarray,
+          sel_b: np.ndarray) -> tuple[float, float, float]:
+    """log posterior odds of sel_b against sel_a, with the posterior mass
+    of each."""
     overlap = np.flatnonzero(sel_a & sel_b)
     if len(overlap):
         theta = LabelVector(table.n, int(table.words[overlap[0]]))
         raise ValueError(f"hypothesis sets overlap at {theta}")
     if not sel_a.any():
         raise ValueError("null set carries no posterior mass")
-    lu = table.log_unnormalized
-    return log_sum_exp(lu[sel_b]) - log_sum_exp(lu[sel_a])
+    log_a, mass_a = table.masked_mass(sel_a)
+    log_b, mass_b = table.masked_mass(sel_b)
+    return log_b - log_a, mass_a, mass_b
 
 
 def odds_error_bounds(
@@ -268,11 +275,7 @@ def class_size_odds(table: PosteriorTable, m0: int,
     labeling) against m0, with the posterior masses of m0 and of m1."""
     sel_a = table.class_sizes == m0
     sel_b = (table.class_sizes == m1) if m1 is not None else ~sel_a
-    return (
-        posterior_odds(table, sel_a, sel_b),
-        float(table.probabilities[sel_a].sum()),
-        float(table.probabilities[sel_b].sum()),
-    )
+    return _odds(table, sel_a, sel_b)
 
 
 def class_size_test(

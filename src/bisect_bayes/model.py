@@ -24,9 +24,12 @@ __all__ = [
     "SparsityParams",
     "LikelihoodRatioStats",
     "canonicalize",
+    "label_strings",
     "enumerate_labelings",
     "canonical_words",
     "canonical_keys",
+    "canonical_order",
+    "half_cube_keys",
     "canonical_index",
     "num_labelings",
     "hamming",
@@ -39,9 +42,11 @@ __all__ = [
     "derive_rng",
 ]
 
-# Exact inference holds several arrays over all 2^(n-1) canonical labelings
-# (and scores the 2^n raw ones), so each extra vertex doubles its time and
-# memory; the cap keeps one exact query under a second and a few hundred MB.
+# Exact inference scores the 2^(n-1) labelings of the half cube and holds a
+# few arrays over all 2^(n-1) canonical labelings (words, class sizes and
+# levels; per-labeling floats only when asked for), so each extra vertex
+# doubles its time and memory. The cap keeps one exact query well under a
+# second and a few hundred MB.
 ENUMERATION_CAP = 22
 
 
@@ -135,6 +140,23 @@ def canonicalize(raw_bits: Sequence[int]) -> LabelVector:
     return LabelVector(n, canonicalize_word(word, n))
 
 
+_STRING_CHUNK = 1 << 16
+
+
+def label_strings(words: np.ndarray, n: int) -> list[str]:
+    """The 0/1 string of each packed word, as LabelVector.to_string writes
+    it (character i is bit i), built by array operations in chunks."""
+    words = np.asarray(words, dtype=np.uint32)
+    shifts = np.arange(n, dtype=np.uint32)
+    out: list[str] = []
+    for start in range(0, len(words), _STRING_CHUNK):
+        chunk = words[start:start + _STRING_CHUNK, np.newaxis]
+        chars = ((chunk >> shifts) & np.uint32(1)).astype(np.uint8)
+        chars += np.uint8(ord("0"))
+        out += chars.view(f"S{n}").ravel().astype(str).tolist()
+    return out
+
+
 def canonicalize_word(word: int, n: int) -> int:
     """Packed-word form of canonicalize: bit i is vertex i's label."""
     m = word.bit_count()
@@ -166,17 +188,43 @@ def canonical_words(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.
     return _canonical_words(n)
 
 
+# The canonical index is built from the half cube: the keys h < 2^(n-1) of
+# the labelings with vertex 0 at label 0, a key being the labeling string
+# read as a binary number. Each labeling or its complement is such a key.
+# Where popcount(h) <= n/2 the key h is itself canonical; elsewhere its
+# complement 2^n - 1 - h is, and those complements lie above 2^(n-1) in
+# reverse order of h. So the canonical keys ascend as h over the low keys
+# followed by the complements of the others, taken in reverse.
+
+
+@lru_cache(maxsize=8)
+def _half_split(n: int) -> np.ndarray:
+    """Per half-cube key h: whether popcount(h) <= n/2. Read-only, cached."""
+    low = 2 * np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)) <= n
+    low.setflags(write=False)
+    return low
+
+
+def canonical_order(values: np.ndarray, n: int) -> np.ndarray:
+    """Reorder an array over the half cube, in key order, into canonical
+    order: entry k of the result belongs to canonical_words(n)[k]. Suits
+    any quantity a labeling shares with its complement."""
+    low = _half_split(n)
+    return np.concatenate((values[low], values[~low][::-1]))
+
+
+def _split_keys(n: int) -> np.ndarray:
+    """The canonical keys in ascending order, as a new array."""
+    keys = canonical_order(np.arange(1 << (n - 1), dtype=np.uint32), n)
+    keys[np.count_nonzero(_half_split(n)):] ^= np.uint32((1 << n) - 1)
+    return keys
+
+
 @lru_cache(maxsize=8)
 def _canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Ascending integers u, read MSB-first as bit sequences, are exactly
-    # lexicographic order; words store the same bits LSB-first.
-    u = np.arange(1 << n, dtype=np.uint32)
-    m = np.bitwise_count(u).astype(np.uint8)
-    canonical = (2 * m.astype(np.int32) < n) | (
-        (2 * m.astype(np.int32) == n) & (u < np.uint32(1 << (n - 1)))
-    )
-    words = _bit_reverse(u[canonical], n)
-    mm = m[canonical]
+    keys = _split_keys(n)
+    words = _bit_reverse(keys, n)
+    mm = np.bitwise_count(keys)
     words.setflags(write=False)
     mm.setflags(write=False)
     return words, mm
@@ -190,8 +238,17 @@ def canonical_keys(n: int) -> np.ndarray:
     The keys ascend, so np.searchsorted on them gives a labeling's index.
     Built on first use only, since most queries never look a labeling up.
     """
-    keys = _bit_reverse(_canonical_words(n)[0], n)
+    keys = _split_keys(n)
     keys.setflags(write=False)
+    return keys
+
+
+def half_cube_keys(words: np.ndarray, n: int) -> np.ndarray:
+    """The half-cube key of each packed word: its labeling string read as a
+    binary number, or that of its complement where vertex 0 has label 1."""
+    keys = _bit_reverse(np.asarray(words, dtype=np.uint32), n)
+    high = keys >= np.uint32(1 << (n - 1))
+    keys[high] ^= np.uint32((1 << n) - 1)
     return keys
 
 
@@ -342,6 +399,11 @@ def edge_probs_from_sparsity(sp: SparsityParams) -> EdgeModel:
     return EdgeModel(p=p, q=q)
 
 
+def _is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Graph:
     """Undirected simple graph on n vertices. Immutable after construction.
 
@@ -419,13 +481,15 @@ class Graph:
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise ValueError('graph JSON must be {"n": int, "edges": [[i, j], ...]}')
         n = obj["n"]
-        if not isinstance(n, int):
+        if not _is_json_int(n):
             raise ValueError(f"graph JSON field n must be an integer, got {n!r}")
+        if not isinstance(obj["edges"], list):
+            raise ValueError(f"graph JSON field edges must be a list, got {obj['edges']!r}")
         edges = []
         for e in obj["edges"]:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValueError(f"bad edge entry {e!r}")
-            edges.append((int(e[0]), int(e[1])))
+            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_json_int, e))):
+                raise ValueError(f"bad edge entry {e!r}: need a pair of integer vertices")
+            edges.append((e[0], e[1]))
         return cls(n, edges)
 
     @classmethod

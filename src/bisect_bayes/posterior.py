@@ -11,6 +11,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -21,9 +22,12 @@ from .model import (
     Graph,
     LabelVector,
     canonical_index,
+    canonical_order,
     canonical_words,
     canonicalize_word,
     derive_rng,
+    half_cube_keys,
+    label_strings,
 )
 from .priors import PriorSpec, log_mass_by_class_size, log_mass_by_popcount
 
@@ -40,34 +44,53 @@ __all__ = [
 ]
 
 
-def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
-    """Within-class edge count for each packed labeling word.
+def _half_cube_within_counts(x: Graph) -> np.ndarray:
+    """Within-class edge count of every half-cube labeling, in key order.
 
-    Counts every raw labeling of the n vertices by vertex doubling, then
-    gathers ``words``. With the vertices from k up at label 0, giving
-    vertex k label 1 makes its edges to the 1-labelled lower vertices
-    within-class and all its other edges split. So the counts for labelings
-    j + 2^k (j < 2^k) are those for j plus
-    2·popcount(j & mask_<k) − deg(k): n vectorised passes over 2^n counts.
-    int16 holds the n(n-1)/2 edges of every n that uint32 words allow.
+    Key bit n-1-v is the label of vertex v, so vertex 0 stays at label 0.
+    Counts are built by vertex doubling from the last vertex down: with the
+    vertices before v at label 0, giving vertex v label 1 makes its edges
+    to the 1-labelled later vertices within-class and all its other edges
+    split. So the counts for keys h + 2^b (h < 2^b, b = n-1-v) are those
+    for h plus 2·popcount(h & later neighbours of v) − deg(v): n-1
+    vectorised passes over 2^(n-1) counts. int16 holds the n(n-1)/2 edges
+    of every n that uint32 keys allow.
     """
     n = x.n
-    s = np.empty(1 << n, dtype=np.int16)
+    s = np.empty(1 << (n - 1), dtype=np.int16)
     s[0] = x.num_edges
-    j = np.arange(1 << (n - 1), dtype=np.uint32)
-    for k, mask in enumerate(x.neighbor_masks):
-        half = 1 << k
-        lower = np.bitwise_count(j[:half] & np.uint32(mask & (half - 1)))
+    h = np.arange(len(s) // 2, dtype=np.uint32)
+    for b in range(n - 1):
+        v = n - 1 - b
+        half = 1 << b
+        # neighbours of v on key bits below b, i.e. the vertices after v
+        mask = x.neighbor_masks[v]
+        later = int(format(mask, f"0{n}b")[::-1], 2) & (half - 1)
+        lower = np.bitwise_count(h[:half] & np.uint32(later))
         s[half:2 * half] = s[:half] + 2 * lower - mask.bit_count()
-    return s[words]
+    return s
 
 
-def log_sum_exp(values: np.ndarray) -> float:
-    """log(sum(exp(values))), shifted by the maximum; -inf when empty."""
-    if len(values) == 0:
+def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
+    """Within-class edge count for each packed labeling word (any words of
+    n bits, canonical or not): the half-cube counts read at each word's
+    key, a labeling and its complement splitting the same edges."""
+    return _half_cube_within_counts(x)[half_cube_keys(words, x.n)]
+
+
+def log_sum_exp(values: np.ndarray, level: np.ndarray | None = None) -> float:
+    """log(sum(exp(terms))), shifted by the maximum; -inf when empty.
+
+    The terms are ``values``, or ``values[level]`` when ``level`` is given.
+    Then ``values`` is a per-level table that is -inf at every level
+    ``level`` does not name, and exp is taken once per level. The terms,
+    and so the result, are bit for bit those of log_sum_exp(values[level]).
+    """
+    if len(values if level is None else level) == 0:
         return -math.inf
     mx = float(values.max())
-    return mx + math.log(float(np.sum(np.exp(values - mx))))
+    shifted = np.exp(values - mx)
+    return mx + math.log(float(np.sum(shifted if level is None else shifted[level])))
 
 
 def _within_pair_counts(ms: np.ndarray, n: int) -> np.ndarray:
@@ -78,37 +101,57 @@ def _within_pair_counts(ms: np.ndarray, n: int) -> np.ndarray:
 class PosteriorTable:
     """Exact normalized posterior over all canonical labelings.
 
-    Stores packed words in lexicographic bit order with parallel arrays of
-    log unnormalized mass and probability. Labelings fall into levels that
-    share one log mass; for an exact posterior a level is a pair (m, s) of
-    smaller-class size and within-class edge count. Immutable after
-    construction.
+    Stores packed words in lexicographic bit order. Labelings fall into
+    levels that share one log mass; for an exact posterior a level is a pair
+    (m, s) of smaller-class size and within-class edge count. The table
+    holds each labeling's level and per-level masses, and builds the
+    per-labeling arrays ``log_unnormalized`` and ``probabilities`` only when
+    they are first read. Immutable after construction.
     """
 
-    __slots__ = ("n", "words", "class_sizes", "log_unnormalized", "log_normalizer",
-                 "probabilities", "_level", "_level_log_mass", "_level_count")
-
     def __init__(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                 log_unnormalized: np.ndarray,
+                 log_unnormalized: np.ndarray | None,
                  levels: tuple[np.ndarray, np.ndarray] | None = None):
         """``levels`` is (level, level_log_mass), with log_unnormalized equal
-        to level_log_mass[level]. Without it every distinct value of
-        log_unnormalized is a level."""
+        to level_log_mass[level]; given it, log_unnormalized may be None.
+        Without it every distinct value of log_unnormalized is a level."""
         self.n = n
         self.words = words
         self.class_sizes = class_sizes
         if levels is None:
             level_log_mass, level = np.unique(log_unnormalized, return_inverse=True)
             levels = level, level_log_mass
-        self._level, level_log_mass = levels
-        self._level_count = np.bincount(self._level, minlength=len(level_log_mass))
+        if log_unnormalized is not None:
+            self.log_unnormalized = log_unnormalized
+        level, level_log_mass = levels
+        # intp, so that gathers by level need no index cast
+        self.level = np.asarray(level, dtype=np.intp)
+        self._level_count = np.bincount(self.level, minlength=len(level_log_mass))
         # a level no labeling reaches may lie far above the normalizer; it
         # gets no mass, so that exp neither overflows nor warns on it
         self._level_log_mass = np.where(self._level_count > 0, level_log_mass, -np.inf)
-        self.log_unnormalized = log_unnormalized
-        self.log_normalizer = log_sum_exp(log_unnormalized)
+        self.log_normalizer = log_sum_exp(self._level_log_mass, self.level)
         # one exp per level; elementwise the same values as exp over labelings
-        self.probabilities = np.exp(self._level_log_mass - self.log_normalizer)[self._level]
+        self._level_prob = np.exp(self._level_log_mass - self.log_normalizer)
+
+    @cached_property
+    def log_unnormalized(self) -> np.ndarray:
+        """Per labeling, the log of its unnormalized posterior mass."""
+        return self._level_log_mass[self.level]
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Per labeling, its posterior probability."""
+        return self._level_prob[self.level]
+
+    def masked_mass(self, mask: np.ndarray) -> tuple[float, float]:
+        """For the labelings a boolean mask over the index selects:
+        log_sum_exp(log_unnormalized[mask]) and probabilities[mask].sum(),
+        bit for bit, without building either per-labeling array."""
+        level = self.level[mask]
+        reached = np.bincount(level, minlength=len(self._level_log_mass)) > 0
+        log_mass = np.where(reached, self._level_log_mass, -np.inf)
+        return log_sum_exp(log_mass, level), float(self._level_prob[level].sum())
 
     def __len__(self) -> int:
         return len(self.words)
@@ -124,10 +167,10 @@ class PosteriorTable:
     def level_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Per level: the probability of each of its labelings, and how
         many labelings it holds (both 0 for levels no labeling reaches)."""
-        return np.exp(self._level_log_mass - self.log_normalizer), self._level_count
+        return self._level_prob, self._level_count
 
     def probability(self, theta: LabelVector) -> float:
-        return float(self.probabilities[self._lookup(theta)])
+        return float(self._level_prob[self.level[self._lookup(theta)]])
 
     def labelings(self) -> Iterator[LabelVector]:
         for w in self.words:
@@ -153,7 +196,7 @@ class PosteriorTable:
         return float(self.probabilities[self.select(predicate)].sum())
 
     def mass_of_class_size(self, m: int) -> float:
-        return float(self.probabilities[self.class_sizes == m].sum())
+        return self.masked_mass(self.class_sizes == m)[1]
 
     def mass_of_ball(self, center: LabelVector, radius: int) -> float:
         """Mass of labelings with complement-folded distance < radius."""
@@ -182,12 +225,13 @@ class PosteriorTable:
         order = np.argsort(-self.probabilities, kind="stable")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["labeling", "log_unnormalized", "probability"])
-        for k in order:
-            writer.writerow([
-                LabelVector(self.n, int(self.words[k])).to_string(),
-                repr(float(self.log_unnormalized[k])),
-                repr(float(self.probabilities[k])),
-            ])
+        writer.writerows(
+            (label, repr(lu), repr(prob)) for label, lu, prob in zip(
+                label_strings(self.words[order], self.n),
+                self.log_unnormalized[order].tolist(),
+                self.probabilities[order].tolist(),
+            )
+        )
 
 
 def exact_posterior(
@@ -198,12 +242,16 @@ def exact_posterior(
 
     Prior and likelihood depend on a labeling only through its level: its
     smaller-class size m and within-class edge count s. So the log mass is
-    evaluated once on the (n//2 + 1) x (E + 1) grid of levels and gathered.
+    evaluated once on the (n//2 + 1) x (E + 1) grid of levels, and the
+    table keeps each labeling's level: level m·(E + 1) + s.
     """
     n = x.n
     words, ms = canonical_words(n, cap)
     e = x.num_edges
-    level = ms.astype(np.int32) * (e + 1) + within_edge_counts(x, words)
+    # (n//2)(E + 1) + E levels fit int16 for every n that uint32 words
+    # allow; the table widens them once to intp
+    level = np.multiply(ms, e + 1, dtype=np.int16)
+    level += canonical_order(_half_cube_within_counts(x), n)
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
     wp = _within_pair_counts(np.arange(n // 2 + 1), n)[:, np.newaxis]
     total_pairs = n * (n - 1) // 2
@@ -215,8 +263,7 @@ def exact_posterior(
     )
     lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
     level_log_mass = (lp + ll).ravel()
-    return PosteriorTable(n, words, ms, level_log_mass[level],
-                          levels=(level, level_log_mass))
+    return PosteriorTable(n, words, ms, None, levels=(level, level_log_mass))
 
 
 def posterior_mass(

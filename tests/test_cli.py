@@ -267,6 +267,60 @@ class TestExperimentCommand:
         assert "missing required field" in err
 
 
+class TestMalformedJson:
+    """Wrongly typed JSON values give exit code 2 and a one-line
+    diagnostic, never a traceback or a silently truncated value."""
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 4, "edges": [[0, null]]}',
+        '{"n": 4, "edges": [[0, 1.7]]}',
+        '{"n": 4, "edges": [[0, "1"]]}',
+        '{"n": 4, "edges": [[true, 1]]}',
+        '{"n": 4, "edges": [[0, 1, 2]]}',
+        '{"n": 4, "edges": 5}',
+        '{"n": 4.0, "edges": []}',
+    ])
+    @pytest.mark.parametrize("command", ["posterior", "credible", "test"])
+    def test_bad_graph_exits_2(self, tmp_path, capsys, text, command):
+        graph = tmp_path / "g.json"
+        graph.write_text(text)
+        extra = {"posterior": ["--out", str(tmp_path / "x.csv")],
+                 "credible": ["--gamma", "0.05"],
+                 "test": ["--m0", "0", "--complement"]}[command]
+        code, out, err = run([command, "--graph", str(graph), "--prior", "uniform-m",
+                              "--p", "0.9", "--q", "0.1", *extra], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
+    def test_integer_endpoints_still_read(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')
+        code, out, _ = run(["credible", "--graph", str(graph), "--prior", "uniform-m",
+                            "--p", "0.9", "--q", "0.1", "--gamma", "0.05"], capsys)
+        assert code == 0
+        assert json.loads(out)["members"] == ["0011"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", None), ("n", 6.0), ("n", "6"), ("replications", True),
+        ("master_seed", None), ("p", None), ("p", "0.9"), ("gamma", [0.05]),
+        ("thresholds", 5), ("thresholds", [1.0, None]), ("prior", 3),
+        ("kind", ["recovery"]), ("planted_m", 1.5), ("radius", "2"), ("out", 7),
+    ])
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg = {"schema_version": 1, "kind": "recovery", "n": 6,
+               "prior": "bernoulli:r=0.5", "replications": 2, "master_seed": 5,
+               "p": 0.9, "q": 0.1, "planted_m": 3, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run(["experiment", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(field) in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestVerify:
     def test_passes_and_reports(self, capsys):
         code, out, _ = run(["verify"], capsys)

@@ -34,6 +34,13 @@ GRAPHS = {
     "n12-tied": ("bernoulli:r=0.5", 0.4, 0.4),
     "n14-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
 }
+# sharp graphs at odd n and at the enumeration cap (where class size n/2
+# ties), pinned for credible --enlarge 1 and test only: a posterior CSV
+# there has 2^(n-1) rows
+CAP_GRAPHS = {
+    "n21-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
+    "n22-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
+}
 EXPERIMENTS = ("coverage-flat", "coverage-r2", "test-error", "bound-check", "recovery",
                "phase-diagram")
 
@@ -41,9 +48,20 @@ EXPERIMENTS = ("coverage-flat", "coverage-r2", "test-error", "bound-check", "rec
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
     """Case id -> (argv with {out} placeholders, output file names)."""
     cases = {}
-    for stem, (prior, p, q) in GRAPHS.items():
+    for stem, (prior, p, q) in {**GRAPHS, **CAP_GRAPHS}.items():
         common = ["--graph", str(GOLDEN / f"{stem}.json"), "--prior", prior,
                   "--p", str(p), "--q", str(q)]
+        cases[f"{stem}:test"] = (
+            ["test", *common, "--m0", "0", "--complement", "--out", "{out}/test.json"],
+            ["test.json"],
+        )
+        if stem in CAP_GRAPHS:
+            cases[f"{stem}:credible"] = (
+                ["credible", *common, "--gamma", "0.05", "--enlarge", "1",
+                 "--out", "{out}/credible.json"],
+                ["credible.json"],
+            )
+            continue
         cases[f"{stem}:posterior"] = (
             ["posterior", *common, "--mode", "exact", "--out", "{out}/posterior.csv",
              "--marginals-out", "{out}/marginals.csv"],
@@ -56,10 +74,6 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
                  "--out", "{out}/credible.json"],
                 ["credible.json"],
             )
-        cases[f"{stem}:test"] = (
-            ["test", *common, "--m0", "0", "--complement", "--out", "{out}/test.json"],
-            ["test.json"],
-        )
     for name in EXPERIMENTS:
         # the .meta.json sidecar holds a timestamp, so only the CSV is pinned
         cases[f"{name}:experiment"] = (

@@ -24,6 +24,14 @@ from bisect_bayes import (
     sample_graph,
     sym_distance,
 )
+from bisect_bayes import model as model_module
+from bisect_bayes.model import (
+    canonical_keys,
+    canonical_order,
+    canonical_words,
+    half_cube_keys,
+    label_strings,
+)
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=16)
 
@@ -109,6 +117,71 @@ class TestEnumeration:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             list(enumerate_labelings(23))
+
+
+def full_cube_canonical_words(n):
+    """Reference canonical index: the raw keys 0..2^n-1 (labeling strings
+    read as binary numbers, so ascending is lexicographic) filtered to the
+    canonical labelings. Returns (keys, words, class sizes)."""
+    u = np.arange(1 << n, dtype=np.uint32)
+    m = np.bitwise_count(u).astype(np.uint8)
+    canonical = (2 * m.astype(np.int32) < n) | (
+        (2 * m.astype(np.int32) == n) & (u < np.uint32(1 << (n - 1)))
+    )
+    keys = u[canonical]
+    words = np.zeros_like(keys)
+    for i in range(n):
+        words |= ((keys >> np.uint32(n - 1 - i)) & np.uint32(1)) << np.uint32(i)
+    return keys, words, m[canonical]
+
+
+class TestCanonicalIndex:
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_split_matches_full_cube_oracle(self, n):
+        keys, words, ms = full_cube_canonical_words(n)
+        got_words, got_ms = canonical_words(n)
+        assert got_words.dtype == np.uint32 and got_ms.dtype == np.uint8
+        assert np.array_equal(got_words, words)
+        assert np.array_equal(got_ms, ms)
+        assert np.array_equal(canonical_keys(n), keys)
+        assert not (got_words.flags.writeable or got_ms.flags.writeable
+                    or canonical_keys(n).flags.writeable)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_canonical_order_reads_keys_and_complements(self, n):
+        # reordering the half-cube keys themselves gives each canonical
+        # labeling's key or that of its complement
+        half = np.arange(1 << (n - 1), dtype=np.uint32)
+        full = np.uint32((1 << n) - 1)
+        keys = canonical_keys(n)
+        assert np.array_equal(canonical_order(half, n), np.minimum(keys, keys ^ full))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_half_cube_keys_of_raw_words(self, n):
+        raw = np.random.default_rng(n).integers(0, 1 << n, size=300).astype(np.uint32)
+        got = half_cube_keys(raw, n)
+        for w, key in zip(raw.tolist(), got.tolist()):
+            string = "".join(str((w >> i) & 1) for i in range(n))
+            if string[0] == "1":
+                string = "".join("10"[int(c)] for c in string)
+            assert key == int(string, 2)
+
+
+class TestLabelStrings:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_to_string_on_random_masks(self, n):
+        words, _ = canonical_words(n)
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.3, 1.0):
+            chosen = words[rng.random(len(words)) < density]
+            assert label_strings(chosen, n) == [
+                LabelVector(n, int(w)).to_string() for w in chosen]
+
+    def test_chunks_join_in_order(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_STRING_CHUNK", 7)
+        words, _ = canonical_words(9)
+        assert label_strings(words, 9) == [
+            LabelVector(9, int(w)).to_string() for w in words]
 
 
 class TestDistances:

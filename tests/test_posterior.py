@@ -23,8 +23,14 @@ from bisect_bayes import (
     posterior_mode,
     sample_graph,
 )
-from bisect_bayes.model import canonical_words
-from bisect_bayes.posterior import PosteriorTable, within_edge_counts
+from bisect_bayes import cli, inference
+from bisect_bayes.model import canonical_order, canonical_words
+from bisect_bayes.posterior import (
+    PosteriorTable,
+    _half_cube_within_counts,
+    log_sum_exp,
+    within_edge_counts,
+)
 from bisect_bayes.priors import log_mass_by_class_size
 
 UNIFORM = FixedBernoulli(0.5)
@@ -38,6 +44,31 @@ def edge_loop_counts(x, words):
     for i, j in zip(ei.tolist(), ej.tolist()):
         counts += (((w >> np.uint64(i)) ^ (w >> np.uint64(j))) & np.uint64(1) == 0)
     return counts
+
+
+def full_cube_counts(x, words):
+    """Reference within-class edge counts by vertex doubling over all 2^n
+    raw labelings, read at each word: with the vertices from k up at label
+    0, giving vertex k label 1 changes the count of labeling j < 2^k by
+    2·popcount(j & mask_<k) − deg(k)."""
+    n = x.n
+    s = np.empty(1 << n, dtype=np.int16)
+    s[0] = x.num_edges
+    j = np.arange(1 << (n - 1), dtype=np.uint32)
+    for k, mask in enumerate(x.neighbor_masks):
+        half = 1 << k
+        lower = np.bitwise_count(j[:half] & np.uint32(mask & (half - 1)))
+        s[half:2 * half] = s[:half] + 2 * lower - mask.bit_count()
+    return s[words]
+
+
+def oracle_graphs(n):
+    """Empty, complete, and random graphs of three densities."""
+    return [
+        Graph(n, []),
+        Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    ] + [sample_graph(LabelVector(n, 0), EdgeModel(p, p / 2), seed)
+         for seed, p in enumerate((0.2, 0.5, 0.9))]
 
 
 def per_labeling_log_mass(x, prior, model):
@@ -70,6 +101,25 @@ class TestWithinEdgeCounts:
              for seed in range(3)]
         for g in graphs:
             assert np.array_equal(within_edge_counts(g, words), edge_loop_counts(g, words))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_canonical_order_kernel_matches_oracles(self, n):
+        words, _ = canonical_words(n)
+        for g in oracle_graphs(n):
+            got = canonical_order(_half_cube_within_counts(g), n)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, edge_loop_counts(g, words))
+            assert np.array_equal(got, full_cube_counts(g, words))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_shuffled_raw_words(self, n):
+        # any words of n bits, canonical or not, in any order
+        rng = np.random.default_rng(n)
+        raw = rng.permutation(np.arange(1 << n, dtype=np.uint32))[:500]
+        for g in oracle_graphs(n):
+            got = within_edge_counts(g, raw)
+            assert np.array_equal(got, full_cube_counts(g, raw))
+            assert np.array_equal(got, edge_loop_counts(g, raw))
 
 
 class TestExactPosterior:
@@ -180,6 +230,85 @@ class TestExactPosterior:
             image = canonicalize(bits)
             moved = exact_posterior(relabeled, BetaBernoulli(1, 1), model)
             assert moved.probability(image) == pytest.approx(base, rel=1e-10)
+
+
+def reduction_tables():
+    """Sharp, flat, tied (p == q) and far-model tables: the last scores a
+    sharp graph under a model with p and q swapped, so its log masses lie
+    far from zero and far apart."""
+    theta = canonicalize([v % 3 == 0 for v in range(13)])
+    sharp = sample_graph(theta, EdgeModel(0.8, 0.1), 6)
+    return {
+        "sharp": exact_posterior(sharp, UNIFORM, EdgeModel(0.8, 0.1)),
+        "flat": exact_posterior(sample_graph(theta, EdgeModel(0.5, 0.45), 7),
+                                UniformClassSize(), EdgeModel(0.5, 0.45)),
+        "tied": exact_posterior(sample_graph(theta, EdgeModel(0.4, 0.4), 8),
+                                UNIFORM, EdgeModel(0.4, 0.4)),
+        "far": exact_posterior(sharp, BetaBernoulli(2.0, 1.0), EdgeModel(0.05, 0.95)),
+    }
+
+
+class TestMaskedMass:
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
+    def test_bit_for_bit_per_labeling_reduction(self, kind):
+        table = reduction_tables()[kind]
+        rng = np.random.default_rng(3)
+        masks = [
+            np.zeros(len(table), dtype=bool),
+            np.ones(len(table), dtype=bool),
+            table.class_sizes == 0,
+            table.class_sizes != 0,
+            table.probabilities < np.median(table.probabilities),
+        ] + [rng.random(len(table)) < d for d in (0.001, 0.3, 0.9)]
+        lu = table.log_unnormalized
+        for mask in masks:
+            assert table.masked_mass(mask) == (
+                log_sum_exp(lu[mask]), float(table.probabilities[mask].sum()))
+        assert table.log_normalizer == log_sum_exp(lu)
+
+    def test_empty_mask(self):
+        table = reduction_tables()["sharp"]
+        assert table.masked_mass(np.zeros(len(table), dtype=bool)) == (-math.inf, 0.0)
+
+    def test_class_size_masses_match_per_labeling_sums(self):
+        for table in reduction_tables().values():
+            for m in range(table.n // 2 + 1):
+                assert table.mass_of_class_size(m) == float(
+                    table.probabilities[table.class_sizes == m].sum())
+
+
+class TestPerLabelingArraysOnDemand:
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(exact_posterior(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "exact_posterior", recording)
+        monkeypatch.setattr(inference, "exact_posterior", recording)
+        return made
+
+    @pytest.mark.parametrize("argv", [
+        ["credible", "--gamma", "0.05", "--enlarge", "2"],
+        ["test", "--m0", "0", "--complement"],
+        ["test", "--m0", "4", "--m1", "8"],
+    ])
+    def test_queries_leave_arrays_unbuilt(self, tmp_path, capsys, tables, argv):
+        g = sample_graph(canonicalize([v < 4 for v in range(16)]), EdgeModel(0.7, 0.2), 1)
+        graph = tmp_path / "g.json"
+        graph.write_text(g.to_json())
+        assert cli.main([argv[0], "--graph", str(graph), "--prior", "bernoulli:r=0.5",
+                         "--p", "0.7", "--q", "0.2", *argv[1:]]) == 0
+        assert len(tables) == 1 and len(tables[0]) == 1 << 15
+        assert "probabilities" not in vars(tables[0])
+        assert "log_unnormalized" not in vars(tables[0])
+
+    def test_arrays_are_built_once(self):
+        table = reduction_tables()["flat"]
+        assert table.probabilities is table.probabilities
+        assert table.log_unnormalized is table.log_unnormalized
 
 
 class TestPosteriorMass:
