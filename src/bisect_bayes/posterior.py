@@ -27,7 +27,6 @@ from .model import (
     canonicalize_word,
     derive_rng,
     half_cube_keys,
-    label_strings,
 )
 from .priors import PriorSpec, log_mass_by_class_size, log_mass_by_popcount
 
@@ -93,6 +92,11 @@ def log_sum_exp(values: np.ndarray, level: np.ndarray | None = None) -> float:
     return mx + math.log(float(np.sum(shifted if level is None else shifted[level])))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _within_pair_counts(ms: np.ndarray, n: int) -> np.ndarray:
     m = ms.astype(np.int64)
     return m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
@@ -132,17 +136,17 @@ class PosteriorTable:
         self._level_log_mass = np.where(self._level_count > 0, level_log_mass, -np.inf)
         self.log_normalizer = log_sum_exp(self._level_log_mass, self.level)
         # one exp per level; elementwise the same values as exp over labelings
-        self._level_prob = np.exp(self._level_log_mass - self.log_normalizer)
+        self._level_prob = _read_only(np.exp(self._level_log_mass - self.log_normalizer))
 
     @cached_property
     def log_unnormalized(self) -> np.ndarray:
         """Per labeling, the log of its unnormalized posterior mass."""
-        return self._level_log_mass[self.level]
+        return _read_only(self._level_log_mass[self.level])
 
     @cached_property
     def probabilities(self) -> np.ndarray:
         """Per labeling, its posterior probability."""
-        return self._level_prob[self.level]
+        return _read_only(self._level_prob[self.level])
 
     def masked_mass(self, mask: np.ndarray) -> tuple[float, float]:
         """For the labelings a boolean mask over the index selects:
@@ -225,13 +229,12 @@ class PosteriorTable:
         order = np.argsort(-self.probabilities, kind="stable")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["labeling", "log_unnormalized", "probability"])
-        writer.writerows(
-            (label, repr(lu), repr(prob)) for label, lu, prob in zip(
-                label_strings(self.words[order], self.n),
-                self.log_unnormalized[order].tolist(),
-                self.probabilities[order].tolist(),
-            )
-        )
+        for k in order:
+            writer.writerow([
+                LabelVector(self.n, int(self.words[k])).to_string(),
+                repr(float(self.log_unnormalized[k])),
+                repr(float(self.probabilities[k])),
+            ])
 
 
 def exact_posterior(

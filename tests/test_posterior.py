@@ -305,10 +305,11 @@ class TestPerLabelingArraysOnDemand:
         assert "probabilities" not in vars(tables[0])
         assert "log_unnormalized" not in vars(tables[0])
 
-    def test_arrays_are_built_once(self):
+    def test_arrays_are_built_once_and_read_only(self):
         table = reduction_tables()["flat"]
-        assert table.probabilities is table.probabilities
-        assert table.log_unnormalized is table.log_unnormalized
+        for name in ("probabilities", "log_unnormalized"):
+            assert getattr(table, name) is getattr(table, name)
+            assert not getattr(table, name).flags.writeable
 
 
 class TestPosteriorMass:
