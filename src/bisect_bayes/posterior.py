@@ -27,6 +27,7 @@ from .model import (
     canonicalize_word,
     derive_rng,
     half_cube_keys,
+    label_strings,
 )
 from .priors import PriorSpec, log_mass_by_class_size, log_mass_by_popcount
 
@@ -229,12 +230,11 @@ class PosteriorTable:
         order = np.argsort(-self.probabilities, kind="stable")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["labeling", "log_unnormalized", "probability"])
-        for k in order:
-            writer.writerow([
-                LabelVector(self.n, int(self.words[k])).to_string(),
-                repr(float(self.log_unnormalized[k])),
-                repr(float(self.probabilities[k])),
-            ])
+        writer.writerows(zip(
+            label_strings(self.words[order], self.n),
+            map(repr, self.log_unnormalized[order].tolist()),
+            map(repr, self.probabilities[order].tolist()),
+        ))
 
 
 def exact_posterior(
