@@ -90,7 +90,7 @@ class EnlargedSet(_LabelingMask):
             raise ValueError("enlargement must contain its base")
 
 
-# Relative rounding of the level mass sums is at most about 1e-16 times the
+# Relative rounding of the group mass sums is at most about 1e-16 times the
 # number of labelings, below 1e-9 up to the enumeration cap.
 _HPD_MARGIN = 1e-9
 
@@ -99,43 +99,57 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     """Greedy highest-posterior-density set: add labelings in decreasing
     mass (ties lexicographic) until the cumulative mass reaches 1 - gamma.
 
-    Only labelings at or above a cutoff are sorted. Equal probabilities are
-    all above the cutoff or all below it, so those labelings are a prefix
-    of the full order. The cutoff is the first level, taken in decreasing
-    mass, at which the level masses clear 1 - gamma with a margin for
-    rounding; should the greedy sum still run out, the full order is used.
+    Labelings are taken in groups of equal probability, read from the
+    level table, so nothing is sorted per labeling. Only the groups down
+    to a cutoff are summed one labeling at a time: the first group, taken
+    in decreasing mass, at which the group masses clear 1 - gamma with a
+    margin for rounding. Should that sum still run out, every group is.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma={gamma} must lie in (0, 1)")
     target = 1.0 - gamma
-    prob, count = table.level_masses()
-    by_mass = np.argsort(-prob, kind="stable")
-    reached = np.cumsum(prob[by_mass] * count[by_mass])
-    cut = min(int(np.searchsorted(reached, target + _HPD_MARGIN)), len(by_mass) - 1)
-    candidates = np.flatnonzero((prob >= prob[by_mass[cut]])[table.level])
-    chosen, mass = _greedy(table, candidates, target)
-    if mass < target and len(candidates) < len(table):
-        chosen, mass = _greedy(table, np.arange(len(table)), target)
-    mask = np.zeros(len(table), dtype=bool)
-    mask[chosen] = True
+    values, sizes = _probability_groups(table)
+    cut = min(int(np.searchsorted(np.cumsum(values * sizes), target + _HPD_MARGIN)),
+              len(values) - 1)
+    mask, mass = _greedy(table, values[:cut + 1], sizes[:cut + 1], target)
+    if mass < target and cut + 1 < len(values):
+        mask, mass = _greedy(table, values, sizes, target)
     return CredibleSet(n=table.n, mask=mask, gamma=gamma, achieved_mass=mass)
 
 
-def _greedy(table: PosteriorTable, indices: np.ndarray,
-            target: float) -> tuple[np.ndarray, float]:
-    """Take labelings from ``indices`` in decreasing probability, ties in
-    index order, until their mass reaches ``target``. Returns the indices
-    taken and their mass. Probabilities are read from the level table.
+def _probability_groups(table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct probabilities of the table's labelings, in decreasing
+    order, and how many labelings carry each."""
+    prob, count = table.level_masses()
+    reached = count > 0
+    values, group = np.unique(prob[reached], return_inverse=True)
+    sizes = np.bincount(group, weights=count[reached]).astype(np.int64)
+    return values[::-1], sizes[::-1]
 
-    cumsum adds left to right in float64, the same additions as a running
-    sum, and its prefix sums never decrease, so searchsorted finds the
-    first one that reaches the target.
+
+def _greedy(table: PosteriorTable, values: np.ndarray, sizes: np.ndarray,
+            target: float) -> tuple[np.ndarray, float]:
+    """Take labelings from the leading probability groups (``values`` in
+    decreasing order, ``sizes`` labelings each), in decreasing probability
+    with ties in index order, until their mass reaches ``target``. Returns
+    the mask of the labelings taken and their mass.
+
+    The running sum adds each group's value once per labeling, the same
+    float64 additions as a sum over the labelings sorted by probability;
+    its prefix sums never decrease, so searchsorted finds the first one
+    that reaches the target. The last group taken contributes its first
+    labelings in index order.
     """
-    prob = table.level_masses()[0][table.level[indices]]
-    by_prob = np.argsort(-prob, kind="stable")
-    reached = np.cumsum(prob[by_prob])
-    k = min(int(np.searchsorted(reached, target)), len(indices) - 1)
-    return indices[by_prob[:k + 1]], float(reached[k])
+    reached = np.cumsum(np.repeat(values, sizes))
+    k = min(int(np.searchsorted(reached, target)), len(reached) - 1)
+    ends = np.cumsum(sizes)
+    last = int(np.searchsorted(ends, k, side="right"))
+    prob = table.level_masses()[0]
+    mask = (prob >= values[last])[table.level]
+    if k + 1 < ends[last]:
+        tied = np.flatnonzero((prob == values[last])[table.level])
+        mask[tied[k + 1 - ends[last]:]] = False
+    return mask, float(reached[k])
 
 
 def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
@@ -272,10 +286,18 @@ class OddsTestResult:
 def class_size_odds(table: PosteriorTable, m0: int,
                     m1: Optional[int]) -> tuple[float, float, float]:
     """log posterior odds of smaller-class size m1 (None: every other
-    labeling) against m0, with the posterior masses of m0 and of m1."""
-    sel_a = table.class_sizes == m0
-    sel_b = (table.class_sizes == m1) if m1 is not None else ~sel_a
-    return _odds(table, sel_a, sel_b)
+    labeling) against m0, with the posterior masses of m0 and of m1. Read
+    from the table's level counts, without a per-labeling array."""
+    sizes = np.arange(table.n // 2 + 1)
+    in_a = sizes == m0
+    in_b = ~in_a if m1 is None else sizes == m1
+    if (in_a & in_b).any():
+        raise ValueError(f"hypothesis sets overlap at class size {m0}")
+    if not in_a.any():
+        raise ValueError("null set carries no posterior mass")
+    log_a, mass_a = table.class_size_mass(in_a)
+    log_b, mass_b = table.class_size_mass(in_b)
+    return log_b - log_a, mass_a, mass_b
 
 
 def class_size_test(

@@ -30,6 +30,7 @@ __all__ = [
     "canonical_keys",
     "canonical_order",
     "half_cube_keys",
+    "half_cube_class_sizes",
     "canonical_index",
     "num_labelings",
     "hamming",
@@ -203,6 +204,16 @@ def _half_split(n: int) -> np.ndarray:
     low = 2 * np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)) <= n
     low.setflags(write=False)
     return low
+
+
+@lru_cache(maxsize=8)
+def half_cube_class_sizes(n: int) -> np.ndarray:
+    """Per half-cube key h, in key order: the smaller-class size of its
+    labeling, min(popcount(h), n - popcount(h)). uint8, read-only, cached."""
+    m = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32))
+    np.minimum(m, np.uint8(n) - m, out=m)
+    m.setflags(write=False)
+    return m
 
 
 def canonical_order(values: np.ndarray, n: int) -> np.ndarray:

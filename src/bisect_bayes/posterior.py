@@ -26,6 +26,7 @@ from .model import (
     canonical_words,
     canonicalize_word,
     derive_rng,
+    half_cube_class_sizes,
     half_cube_keys,
     label_strings,
 )
@@ -78,19 +79,25 @@ def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
     return _half_cube_within_counts(x)[half_cube_keys(words, x.n)]
 
 
-def log_sum_exp(values: np.ndarray, level: np.ndarray | None = None) -> float:
-    """log(sum(exp(terms))), shifted by the maximum; -inf when empty.
+def log_sum_exp(values: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """log(sum(exp(terms))), shifted by the maximum and summed by
+    math.fsum; -inf when there are no terms.
 
-    The terms are ``values``, or ``values[level]`` when ``level`` is given.
-    Then ``values`` is a per-level table that is -inf at every level
-    ``level`` does not name, and exp is taken once per level. The terms,
-    and so the result, are bit for bit those of log_sum_exp(values[level]).
+    With ``counts``, values[i] stands for counts[i] equal terms: it adds
+    counts[i]·exp(values[i] − max), rounded once, to the exact sum, and
+    values with count 0 are left out. So the result depends only on which
+    terms occur how often, not on their order.
     """
-    if len(values if level is None else level) == 0:
+    if counts is not None:
+        kept = counts > 0
+        values, counts = values[kept], counts[kept]
+    if len(values) == 0:
         return -math.inf
     mx = float(values.max())
-    shifted = np.exp(values - mx)
-    return mx + math.log(float(np.sum(shifted if level is None else shifted[level])))
+    terms = np.exp(values - mx)
+    if counts is not None:
+        terms *= counts
+    return mx + math.log(math.fsum(terms.tolist()))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -107,37 +114,71 @@ class PosteriorTable:
     """Exact normalized posterior over all canonical labelings.
 
     Stores packed words in lexicographic bit order. Labelings fall into
-    levels that share one log mass; for an exact posterior a level is a pair
-    (m, s) of smaller-class size and within-class edge count. The table
-    holds each labeling's level and per-level masses, and builds the
-    per-labeling arrays ``log_unnormalized`` and ``probabilities`` only when
-    they are first read. Immutable after construction.
+    levels that share one class size and one log mass; for an exact
+    posterior a level is a pair (m, s) of smaller-class size and
+    within-class edge count. The table keeps per level its log mass,
+    probability, class size and labeling count, and reports the mass of a
+    set of labelings as a count-weighted sum over levels (see masked_mass).
+    The per-labeling arrays ``level``, ``log_unnormalized`` and
+    ``probabilities`` are built only when first read. Immutable after
+    construction.
     """
 
     def __init__(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
                  log_unnormalized: np.ndarray | None,
                  levels: tuple[np.ndarray, np.ndarray] | None = None):
         """``levels`` is (level, level_log_mass), with log_unnormalized equal
-        to level_log_mass[level]; given it, log_unnormalized may be None.
-        Without it every distinct value of log_unnormalized is a level."""
+        to level_log_mass[level] and each level holding one class size;
+        given it, log_unnormalized may be None. Without it every distinct
+        pair of class size and log_unnormalized value is a level."""
+        if levels is None:
+            pairs, level = np.unique(np.column_stack((class_sizes, log_unnormalized)),
+                                     axis=0, return_inverse=True)
+            levels = level.reshape(-1), pairs[:, 1]
+        level, level_log_mass = levels
+        level = _read_only(np.array(level, dtype=np.intp))
+        level_class_size = np.zeros(len(level_log_mass), dtype=class_sizes.dtype)
+        level_class_size[level] = class_sizes
+        if not np.array_equal(level_class_size[level], class_sizes):
+            raise ValueError("each level must hold labelings of one class size")
+        self.level = level
+        if log_unnormalized is not None:
+            self.log_unnormalized = log_unnormalized
+        self._set_levels(n, words, class_sizes, level_log_mass, level_class_size,
+                         np.bincount(level, minlength=len(level_log_mass)))
+
+    @classmethod
+    def _from_half_cube(cls, n: int, words: np.ndarray, class_sizes: np.ndarray,
+                        half_level: np.ndarray, level_log_mass: np.ndarray,
+                        level_class_size: np.ndarray) -> "PosteriorTable":
+        """The table over canonical_words(n) whose labeling with half-cube
+        key h lies in level half_level[h]. Its levels are counted in key
+        order; the canonical ``level`` is built only when read."""
+        table = cls.__new__(cls)
+        table._half_level = half_level
+        table._set_levels(n, words, class_sizes, level_log_mass, level_class_size,
+                          np.bincount(half_level, minlength=len(level_log_mass)))
+        return table
+
+    def _set_levels(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
+                    level_log_mass: np.ndarray, level_class_size: np.ndarray,
+                    level_count: np.ndarray) -> None:
         self.n = n
         self.words = words
         self.class_sizes = class_sizes
-        if levels is None:
-            level_log_mass, level = np.unique(log_unnormalized, return_inverse=True)
-            levels = level, level_log_mass
-        if log_unnormalized is not None:
-            self.log_unnormalized = log_unnormalized
-        level, level_log_mass = levels
-        # intp, so that gathers by level need no index cast
-        self.level = np.asarray(level, dtype=np.intp)
-        self._level_count = np.bincount(self.level, minlength=len(level_log_mass))
+        self._level_class_size = level_class_size
+        self._level_count = level_count
         # a level no labeling reaches may lie far above the normalizer; it
         # gets no mass, so that exp neither overflows nor warns on it
-        self._level_log_mass = np.where(self._level_count > 0, level_log_mass, -np.inf)
-        self.log_normalizer = log_sum_exp(self._level_log_mass, self.level)
-        # one exp per level; elementwise the same values as exp over labelings
+        self._level_log_mass = np.where(level_count > 0, level_log_mass, -np.inf)
+        self.log_normalizer = log_sum_exp(self._level_log_mass, level_count)
         self._level_prob = _read_only(np.exp(self._level_log_mass - self.log_normalizer))
+
+    @cached_property
+    def level(self) -> np.ndarray:
+        """Per labeling, the index of its level (intp, so that gathers by
+        level need no index cast)."""
+        return _read_only(canonical_order(self._half_level, self.n).astype(np.intp))
 
     @cached_property
     def log_unnormalized(self) -> np.ndarray:
@@ -150,13 +191,28 @@ class PosteriorTable:
         return _read_only(self._level_prob[self.level])
 
     def masked_mass(self, mask: np.ndarray) -> tuple[float, float]:
-        """For the labelings a boolean mask over the index selects:
-        log_sum_exp(log_unnormalized[mask]) and probabilities[mask].sum(),
-        bit for bit, without building either per-labeling array."""
-        level = self.level[mask]
-        reached = np.bincount(level, minlength=len(self._level_log_mass)) > 0
-        log_mass = np.where(reached, self._level_log_mass, -np.inf)
-        return log_sum_exp(log_mass, level), float(self._level_prob[level].sum())
+        """For the labelings a boolean mask over the index selects: the log
+        of their unnormalized mass and their probability.
+
+        Both are sums over levels, weighted by how many selected labelings
+        each level holds: log_sum_exp with counts, and math.fsum of count
+        times probability. Exact sums rounded once, so the result depends
+        only on those counts. (-inf, 0.0) when nothing is selected.
+        """
+        return self._level_sums(np.bincount(self.level[mask],
+                                            minlength=len(self._level_count)))
+
+    def class_size_mass(self, sizes: np.ndarray) -> tuple[float, float]:
+        """masked_mass of the labelings whose class size m has sizes[m]
+        True (a boolean mask over 0..n//2), read from the level counts
+        without touching a per-labeling array."""
+        counts = np.where(sizes[self._level_class_size], self._level_count, 0)
+        return self._level_sums(counts)
+
+    def _level_sums(self, counts: np.ndarray) -> tuple[float, float]:
+        kept = np.flatnonzero(counts)
+        prob = math.fsum((counts[kept] * self._level_prob[kept]).tolist())
+        return log_sum_exp(self._level_log_mass, counts), prob
 
     def __len__(self) -> int:
         return len(self.words)
@@ -198,10 +254,10 @@ class PosteriorTable:
         )
 
     def mass(self, predicate: Callable[[LabelVector], bool]) -> float:
-        return float(self.probabilities[self.select(predicate)].sum())
+        return self.masked_mass(self.select(predicate))[1]
 
     def mass_of_class_size(self, m: int) -> float:
-        return self.masked_mass(self.class_sizes == m)[1]
+        return self.class_size_mass(np.arange(self.n // 2 + 1) == m)[1]
 
     def mass_of_ball(self, center: LabelVector, radius: int) -> float:
         """Mass of labelings with complement-folded distance < radius."""
@@ -251,10 +307,9 @@ def exact_posterior(
     n = x.n
     words, ms = canonical_words(n, cap)
     e = x.num_edges
-    # (n//2)(E + 1) + E levels fit int16 for every n that uint32 words
-    # allow; the table widens them once to intp
-    level = np.multiply(ms, e + 1, dtype=np.int16)
-    level += canonical_order(_half_cube_within_counts(x), n)
+    # (n//2)(E + 1) + E levels fit int16 for every n that uint32 words allow
+    half_level = np.multiply(half_cube_class_sizes(n), e + 1, dtype=np.int16)
+    half_level += _half_cube_within_counts(x)
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
     wp = _within_pair_counts(np.arange(n // 2 + 1), n)[:, np.newaxis]
     total_pairs = n * (n - 1) // 2
@@ -266,7 +321,9 @@ def exact_posterior(
     )
     lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
     level_log_mass = (lp + ll).ravel()
-    return PosteriorTable(n, words, ms, None, levels=(level, level_log_mass))
+    level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
+    return PosteriorTable._from_half_cube(n, words, ms, half_level, level_log_mass,
+                                          level_class_size)
 
 
 def posterior_mass(

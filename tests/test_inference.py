@@ -137,9 +137,9 @@ class TestHpdMatchesFullSort:
         calls = []
         greedy = inference._greedy
 
-        def counting(t, indices, target):
-            calls.append(len(indices))
-            return greedy(t, indices, target)
+        def counting(t, values, sizes, target):
+            calls.append(int(sizes.sum()))
+            return greedy(t, values, sizes, target)
 
         monkeypatch.setattr(inference, "_HPD_MARGIN", -0.5)
         monkeypatch.setattr(inference, "_greedy", counting)

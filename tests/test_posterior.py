@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -111,6 +112,20 @@ class TestWithinEdgeCounts:
             assert np.array_equal(got, edge_loop_counts(g, words))
             assert np.array_equal(got, full_cube_counts(g, words))
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_level_histogram_matches_full_cube_oracle(self, n):
+        words, ms = canonical_words(n)
+        model = EdgeModel(0.7, 0.2)
+        for g in oracle_graphs(n):
+            table = exact_posterior(g, UNIFORM, model)
+            e = g.num_edges
+            levels = ms.astype(np.int64) * (e + 1) + full_cube_counts(g, words)
+            # counted in key order, before the canonical level exists
+            assert "level" not in vars(table)
+            assert np.array_equal(table.level_masses()[1],
+                                  np.bincount(levels, minlength=(n // 2 + 1) * (e + 1)))
+            assert np.array_equal(table.level, levels)
+
     @pytest.mark.parametrize("n", range(1, 15))
     def test_shuffled_raw_words(self, n):
         # any words of n bits, canonical or not, in any order
@@ -202,6 +217,12 @@ class TestExactPosterior:
         table = exact_posterior(Graph(10, [(0, 1), (2, 3)]), UNIFORM, EdgeModel(0.6, 0.3))
         assert table.class_sizes is canonical_words(10)[1]
 
+    def test_levels_mixing_class_sizes_rejected(self):
+        table = exact_posterior(Graph(4, [(0, 1)]), UNIFORM, EdgeModel(0.6, 0.3))
+        with pytest.raises(ValueError, match="one class size"):
+            PosteriorTable(4, table.words, table.class_sizes, None,
+                           levels=(np.zeros(len(table), dtype=np.intp), np.zeros(1)))
+
     def test_lookup_rejects_labeling_not_in_table(self):
         table = exact_posterior(Graph(4, [(0, 1)]), UNIFORM, EdgeModel(0.6, 0.3))
         partial = PosteriorTable(4, table.words[:3], table.class_sizes[:3],
@@ -248,6 +269,30 @@ def reduction_tables():
     }
 
 
+def fsum_oracle(table, mask):
+    """Reference masked mass: the masked labelings counted per distinct
+    log_unnormalized value, by np.unique over the per-labeling arrays, then
+    summed by the fsum rule (count times exp of the shifted value, and
+    count times probability)."""
+    values, first, counts = np.unique(table.log_unnormalized[mask],
+                                      return_index=True, return_counts=True)
+    if len(values) == 0:
+        return -math.inf, 0.0
+    mx = float(values.max())
+    log_mass = mx + math.log(math.fsum((np.exp(values - mx) * counts).tolist()))
+    return log_mass, math.fsum((table.probabilities[mask][first] * counts).tolist())
+
+
+def pairwise_sums(table, mask):
+    """The per-labeling sums in numpy's pairwise order."""
+    if not mask.any():
+        return -math.inf, 0.0
+    lu = table.log_unnormalized[mask]
+    mx = float(lu.max())
+    return (mx + math.log(float(np.sum(np.exp(lu - mx)))),
+            float(table.probabilities[mask].sum()))
+
+
 class TestMaskedMass:
     @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
     def test_bit_for_bit_per_labeling_reduction(self, kind):
@@ -260,21 +305,39 @@ class TestMaskedMass:
             table.class_sizes != 0,
             table.probabilities < np.median(table.probabilities),
         ] + [rng.random(len(table)) < d for d in (0.001, 0.3, 0.9)]
-        lu = table.log_unnormalized
         for mask in masks:
-            assert table.masked_mass(mask) == (
-                log_sum_exp(lu[mask]), float(table.probabilities[mask].sum()))
-        assert table.log_normalizer == log_sum_exp(lu)
+            got = table.masked_mass(mask)
+            assert got == fsum_oracle(table, mask)
+            for value, pairwise in zip(got, pairwise_sums(table, mask)):
+                assert math.isclose(value, pairwise, rel_tol=1e-12)
+        everything = np.ones(len(table), dtype=bool)
+        assert table.log_normalizer == fsum_oracle(table, everything)[0]
+        assert table.log_normalizer == log_sum_exp(table.log_unnormalized)
 
     def test_empty_mask(self):
         table = reduction_tables()["sharp"]
-        assert table.masked_mass(np.zeros(len(table), dtype=bool)) == (-math.inf, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.masked_mass(np.zeros(len(table), dtype=bool)) == (-math.inf, 0.0)
+            # no labeling has a class size above n // 2
+            assert table.class_size_mass(np.zeros(table.n // 2 + 1, dtype=bool)) \
+                == (-math.inf, 0.0)
+            assert table.mass_of_class_size(table.n // 2 + 1) == 0.0
+            assert log_sum_exp(np.array([1.0, 2.0]), np.zeros(2, dtype=np.int64)) == -math.inf
+            assert log_sum_exp(np.array([])) == -math.inf
 
     def test_class_size_masses_match_per_labeling_sums(self):
-        for table in reduction_tables().values():
+        tables = list(reduction_tables().values())
+        tied = tables[2]
+        # built without levels: each distinct (class size, mass) is a level
+        tables.append(PosteriorTable(tied.n, tied.words, tied.class_sizes,
+                                     tied.log_unnormalized))
+        for table in tables:
             for m in range(table.n // 2 + 1):
-                assert table.mass_of_class_size(m) == float(
-                    table.probabilities[table.class_sizes == m].sum())
+                mask = table.class_sizes == m
+                assert table.mass_of_class_size(m) == fsum_oracle(table, mask)[1]
+                assert math.isclose(table.mass_of_class_size(m),
+                                    pairwise_sums(table, mask)[1], rel_tol=1e-12)
 
 
 class TestPerLabelingArraysOnDemand:
@@ -304,6 +367,9 @@ class TestPerLabelingArraysOnDemand:
         assert len(tables) == 1 and len(tables[0]) == 1 << 15
         assert "probabilities" not in vars(tables[0])
         assert "log_unnormalized" not in vars(tables[0])
+        if argv[0] == "test":
+            # class-size tests read the level counts alone
+            assert "level" not in vars(tables[0])
 
     def test_arrays_are_built_once_and_read_only(self):
         table = reduction_tables()["flat"]
