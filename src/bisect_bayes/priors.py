@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import betaln
 
 from .model import LabelVector
 
@@ -123,12 +122,19 @@ def _folded_bernoulli_log_mass(m: np.ndarray, n: int, r: float) -> np.ndarray:
     return np.logaddexp(m * lr + (n - m) * l1r, (n - m) * lr + m * l1r)
 
 
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0, from three math.lgamma values."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def _folded_beta_log_mass(
     m: np.ndarray, n: int, alpha: float, beta: float
 ) -> np.ndarray:
+    ks = m.tolist()
     return np.logaddexp(
-        betaln(m + alpha, n - m + beta), betaln(n - m + alpha, m + beta)
-    ) - betaln(alpha, beta)
+        np.array([_log_beta(k + alpha, n - k + beta) for k in ks]),
+        np.array([_log_beta(n - k + alpha, k + beta) for k in ks]),
+    ) - _log_beta(alpha, beta)
 
 
 @lru_cache(maxsize=64)

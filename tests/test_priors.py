@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bisect_bayes import (
@@ -15,9 +21,13 @@ from bisect_bayes import (
     prior_to_string,
 )
 from bisect_bayes.priors import (
+    _folded_beta_log_mass,
+    _log_beta,
     bernoulli_ratio_sandwich_violations,
     beta_ratio_bound_violations,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ALL_PRIORS = [
     FixedBernoulli(0.5),
@@ -166,3 +176,70 @@ class TestRatioGrids:
         odds = max(r / (1 - r), (1 - r) / r)
         reference = odds ** (m2 - m1)
         assert 0.5 * reference <= ratio <= 2.0 * reference
+
+
+class TestLogBeta:
+    def test_matches_exact_factorial_oracle(self):
+        # B(a, b) = (a-1)!(b-1)!/(a+b-1)! for integers, whose reciprocal
+        # is an integer: one rounding in the oracle
+        for a in range(1, 30):
+            for b in range(1, 30):
+                den, rem = divmod(math.factorial(a + b - 1),
+                                  math.factorial(a - 1) * math.factorial(b - 1))
+                assert rem == 0
+                assert math.isclose(_log_beta(a, b), -math.log(den),
+                                    rel_tol=1e-13, abs_tol=1e-13), (a, b)
+
+    def test_matches_scipy_on_folded_arguments(self):
+        betaln = pytest.importorskip("scipy.special").betaln
+        grid = (0.1, 0.25, 0.5, 1, 1.5, 2, 3, 5, 7.5, 10, 20, 50, 100)
+        args = set()
+        for alpha in grid:
+            for beta in grid:
+                args.add((alpha, beta))
+                for n in range(1, 64):
+                    for m in range(n // 2 + 1):
+                        args.add((m + alpha, n - m + beta))
+                        args.add((n - m + alpha, m + beta))
+        a, b = np.array(sorted(args)).T
+        expected = betaln(a, b).tolist()
+        bad = [(x, y) for x, y, e in zip(a.tolist(), b.tolist(), expected)
+               if not math.isclose(_log_beta(x, y), e, rel_tol=1e-12, abs_tol=1e-12)]
+        assert bad == []
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.0, 1.0), (2.0, 3.0),
+                                             (7.5, 0.25), (100.0, 20.0)])
+    def test_folded_mass_matches_scipy(self, alpha, beta):
+        betaln = pytest.importorskip("scipy.special").betaln
+        for n in range(1, 64):
+            m = np.arange(n // 2 + 1, dtype=np.float64)
+            expected = np.logaddexp(betaln(m + alpha, n - m + beta),
+                                    betaln(n - m + alpha, m + beta)) - betaln(alpha, beta)
+            got = _folded_beta_log_mass(m, n, alpha, beta)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+SCIPY_FREE_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import bisect_bayes
+import bisect_bayes.cli
+common = ["--graph", sys.argv[1], "--prior", "beta:alpha=1,beta=1",
+          "--p", "0.8", "--q", "0.3"]
+codes = [bisect_bayes.cli.main(["test", *common, "--m0", "0", "--complement"]),
+         bisect_bayes.cli.main(["credible", *common, "--gamma", "0.05", "--enlarge", "2"])]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.split(".")[0] == "scipy" and module is not None)
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(ROOT / "tests/golden/n11-beta.json")],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy_modules": []}
