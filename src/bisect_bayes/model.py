@@ -233,9 +233,16 @@ def _split_keys(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
-    keys = _split_keys(n)
-    words = _bit_reverse(keys, n)
-    mm = np.bitwise_count(keys)
+    # the word of half-cube key h, by vertex doubling: key bit b is the
+    # label of vertex n-1-b, so the words of keys h + 2^b (h < 2^b) are
+    # those of h with bit n-1-b set
+    rev = np.zeros(1 << (n - 1), dtype=np.uint32)
+    for b in range(n - 1):
+        half = 1 << b
+        np.bitwise_or(rev[:half], np.uint32(1 << (n - 1 - b)), out=rev[half:2 * half])
+    words = canonical_order(rev, n)
+    words[np.count_nonzero(_half_split(n)):] ^= np.uint32((1 << n) - 1)
+    mm = canonical_order(half_cube_class_sizes(n), n)
     words.setflags(write=False)
     mm.setflags(write=False)
     return words, mm
