@@ -242,9 +242,19 @@ class PosteriorTable:
             yield LabelVector(self.n, int(w)), float(self.probabilities[k])
 
     def mode(self) -> LabelVector:
-        # words are in lexicographic order, so the first argmax breaks ties
-        # lexicographically
-        return LabelVector(self.n, int(self.words[int(np.argmax(self.probabilities))]))
+        """The most probable labeling; ties go to the first in index
+        order, i.e. lexicographically."""
+        if not hasattr(self, "_half_level"):  # a table from the constructor
+            return LabelVector(self.n, int(self.words[int(np.argmax(self.probabilities))]))
+        # the half-cube keys in the most probable levels; the first in index
+        # order has the smallest canonical key: the first key found that is
+        # canonical itself (popcount <= n/2), or else the complement of the
+        # last key found
+        best = np.flatnonzero(self._level_prob == self._level_prob.max())
+        keys = np.flatnonzero(np.isin(self._half_level, best))
+        low = keys[2 * np.bitwise_count(keys) <= self.n]
+        key = int(low[0]) if len(low) else int(keys[-1]) ^ ((1 << self.n) - 1)
+        return LabelVector.from_string(format(key, f"0{self.n}b"))
 
     def select(self, predicate: Callable[[LabelVector], bool]) -> np.ndarray:
         """Boolean mask over the table's index of the labelings satisfying

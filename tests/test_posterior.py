@@ -431,6 +431,38 @@ class TestPosteriorMode:
         table = exact_posterior(g, UNIFORM, model)
         assert table.mode() == LabelVector.from_string("000000")
 
+    @staticmethod
+    def argmax_oracle(table):
+        return LabelVector(table.n, int(table.words[int(np.argmax(table.probabilities))]))
+
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
+    def test_matches_argmax_oracle(self, kind):
+        table = reduction_tables()[kind]
+        mode = table.mode()
+        # the mode is read from the levels and the key-order level array
+        assert "level" not in vars(table) and "probabilities" not in vars(table)
+        assert mode == self.argmax_oracle(table)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_argmax_oracle_on_oracle_graphs(self, n):
+        # empty and complete graphs tie whole class sizes, so the most
+        # probable labelings have canonical keys on either side of the split
+        for g in oracle_graphs(n):
+            for model in (EdgeModel(0.7, 0.2), EdgeModel(0.2, 0.7)):
+                for prior in (UNIFORM, FixedBernoulli(0.2), UniformClassSize(),
+                              BetaBernoulli(2.0, 1.0)):
+                    table = exact_posterior(g, prior, model)
+                    assert table.mode() == self.argmax_oracle(table)
+
+    def test_tie_among_complemented_keys(self):
+        # swapping vertices 1 and 2 maps the graph to itself, and the two
+        # most probable labelings both put vertex 0 at label 1
+        model = EdgeModel(0.1, 0.8)
+        table = exact_posterior(Graph(5, [(0, 3), (0, 4), (1, 2)]), UNIFORM, model)
+        top = np.flatnonzero(table.probabilities == table.probabilities.max())
+        assert len(top) == 2 and all(table.words[top] & 1)
+        assert table.mode() == self.argmax_oracle(table)
+
     def test_scaling_invariance(self):
         model = EdgeModel(0.8, 0.3)
         g = sample_graph(LabelVector.from_string("000111"), model, 5)
