@@ -127,8 +127,19 @@ class ExperimentConfig:
                 raise ValueError("test-error experiment needs m0")
             if self.m0 == self.m1:
                 raise ValueError("m0 and m1 must differ")
-        if self.planted_m is not None and not (0 <= self.planted_m <= self.n // 2):
-            raise ValueError(f"planted_m={self.planted_m} out of range for n={self.n}")
+        for name in ("planted_m", "m0", "m1"):
+            value = getattr(self, name)
+            if value is not None and not (0 <= value <= self.n // 2):
+                raise ValueError(f"config field {name!r}={value} must lie in "
+                                 f"0..{self.n // 2} for n={self.n}")
+        for name in ("radius", "ball_radius"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"config field {name!r}={value} must be >= 0")
+        for t in self.thresholds:
+            if not t > 0:
+                raise ValueError(f"config field 'thresholds' holds {t!r}; "
+                                 "every threshold must be > 0")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma={self.gamma} must lie in (0, 1)")
         if self.kind != RECOVERY and self.n > ENUMERATION_CAP:

@@ -306,6 +306,10 @@ class TestMalformedJson:
         ("master_seed", None), ("p", None), ("p", "0.9"), ("gamma", [0.05]),
         ("thresholds", 5), ("thresholds", [1.0, None]), ("prior", 3),
         ("kind", ["recovery"]), ("planted_m", 1.5), ("radius", "2"), ("out", 7),
+        # out of range: checked when the config loads, whatever the kind
+        ("planted_m", 4), ("m0", 4), ("m0", -2), ("m1", 7), ("m1", -1),
+        ("ball_radius", -3), ("radius", -1), ("thresholds", [0.0]),
+        ("thresholds", [1.0, -2.0]),
     ])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, field, value):
         cfg = {"schema_version": 1, "kind": "recovery", "n": 6,
@@ -319,6 +323,20 @@ class TestMalformedJson:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(field) in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("m1", 4), ("m0", 4), ("ball_radius", 0), ("radius", 0),
+    ])
+    def test_config_range_endpoints_still_read(self, tmp_path, capsys, field, value):
+        cfg = {"schema_version": 1, "kind": "test-error", "n": 8,
+               "prior": "bernoulli:r=0.5", "replications": 2, "master_seed": 5,
+               "p": 0.9, "q": 0.1, "m0": 0, "m1": 2, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, _ = run(["experiment", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0
+        assert (tmp_path / "x.csv").exists()
 
 
 class TestVerify:
