@@ -90,6 +90,11 @@ class EnlargedSet(_LabelingMask):
             raise ValueError("enlargement must contain its base")
 
 
+# A credible set whose probability groups hold at most one labeling in
+# _SMALL_SET is found from the key-order levels; a larger one is gathered
+# through the canonical level of every labeling, a cheaper pass per member.
+_SMALL_SET = 32
+
 # Relative rounding of the group mass sums is at most about 1e-16 times the
 # number of labelings, below 1e-9 up to the enumeration cap.
 _HPD_MARGIN = 1e-9
@@ -139,16 +144,28 @@ def _greedy(table: PosteriorTable, values: np.ndarray, sizes: np.ndarray,
     its prefix sums never decrease, so searchsorted finds the first one
     that reaches the target. The last group taken contributes its first
     labelings in index order.
+
+    When the groups taken hold at most 1/_SMALL_SET of the labelings, their
+    positions are found from the levels and scattered into an empty mask;
+    otherwise the mask is gathered through the canonical level of every
+    labeling.
     """
     reached = np.cumsum(np.repeat(values, sizes))
     k = min(int(np.searchsorted(reached, target)), len(reached) - 1)
     ends = np.cumsum(sizes)
     last = int(np.searchsorted(ends, k, side="right"))
     prob = table.level_masses()[0]
-    mask = (prob >= values[last])[table.level]
-    if k + 1 < ends[last]:
-        tied = np.flatnonzero((prob == values[last])[table.level])
-        mask[tied[k + 1 - ends[last]:]] = False
+    if _SMALL_SET * ends[last] <= len(table):
+        positions, level = table.labelings_in(prob >= values[last])
+        tied = prob[level] == values[last]
+        mask = np.zeros(len(table), dtype=bool)
+        mask[positions[~tied]] = True
+        mask[np.sort(positions[tied])[:k + 1 - ends[last] + sizes[last]]] = True
+    else:
+        mask = (prob >= values[last])[table.level]
+        if k + 1 < ends[last]:
+            tied = np.flatnonzero((prob == values[last])[table.level])
+            mask[tied[k + 1 - ends[last]:]] = False
     return mask, float(reached[k])
 
 

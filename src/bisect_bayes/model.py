@@ -27,11 +27,12 @@ __all__ = [
     "label_strings",
     "enumerate_labelings",
     "canonical_words",
-    "canonical_keys",
     "canonical_order",
+    "half_cube_key",
     "half_cube_keys",
     "half_cube_class_sizes",
     "canonical_index",
+    "canonical_positions",
     "num_labelings",
     "hamming",
     "sym_distance",
@@ -224,13 +225,6 @@ def canonical_order(values: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((values[low], values[~low][::-1]))
 
 
-def _split_keys(n: int) -> np.ndarray:
-    """The canonical keys in ascending order, as a new array."""
-    keys = canonical_order(np.arange(1 << (n - 1), dtype=np.uint32), n)
-    keys[np.count_nonzero(_half_split(n)):] ^= np.uint32((1 << n) - 1)
-    return keys
-
-
 @lru_cache(maxsize=8)
 def _canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
     # the word of half-cube key h, by vertex doubling: key bit b is the
@@ -248,19 +242,6 @@ def _canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
     return words, mm
 
 
-@lru_cache(maxsize=8)
-def canonical_keys(n: int) -> np.ndarray:
-    """Sort keys of canonical_words(n): each labeling string read as a
-    binary number, i.e. the word with its low n bits reversed.
-
-    The keys ascend, so np.searchsorted on them gives a labeling's index.
-    Built on first use only, since most queries never look a labeling up.
-    """
-    keys = _split_keys(n)
-    keys.setflags(write=False)
-    return keys
-
-
 def half_cube_keys(words: np.ndarray, n: int) -> np.ndarray:
     """The half-cube key of each packed word: its labeling string read as a
     binary number, or that of its complement where vertex 0 has label 1."""
@@ -270,9 +251,66 @@ def half_cube_keys(words: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+# A low key's position in canonical order is its rank among the low keys;
+# a high key's complement follows the low keys in reverse order of the
+# high keys, so with R = 2^(n-1) keys its position is R - 1 - h + rank(h).
+# The rank of h among the low keys splits at bit B: the low keys below its
+# prefix (h >> B) << B, plus those that share its prefix and have a smaller
+# suffix, which depends only on the prefix's popcount. Both tables have at
+# most 2^11 entries per row up to n = 23.
+
+
+@lru_cache(maxsize=8)
+def _rank_tables(n: int) -> tuple[int, memoryview, memoryview]:
+    """(B, prefix, suffix) for the rank of a half-cube key h among the low
+    keys: prefix[p] counts the low keys below p << B, and suffix[k << B | s]
+    the suffixes s' < s with 2(k + popcount(s')) <= n. Read-only views of
+    int64 arrays, cached; indexing them gives Python ints."""
+    bits = n // 2
+    suffixes = np.bitwise_count(np.arange(1 << bits, dtype=np.int64))
+    low = 2 * (np.arange(n - bits)[:, np.newaxis] + suffixes) <= n
+    suffix = np.cumsum(low, axis=1) - low
+    below = np.count_nonzero(low, axis=1)[
+        np.bitwise_count(np.arange(1 << (n - 1 - bits), dtype=np.int64))]
+    prefix = np.cumsum(below) - below
+    suffix = suffix.ravel()
+    prefix.setflags(write=False)
+    suffix.setflags(write=False)
+    return bits, memoryview(prefix), memoryview(suffix)
+
+
+def canonical_positions(keys: np.ndarray, n: int) -> np.ndarray:
+    """Position in canonical_words(n) of the labeling with each half-cube
+    key (intp keys below 2^(n-1); a labeling and its complement share one)."""
+    bits, prefix, suffix = _rank_tables(n)
+    high = keys >> bits
+    counts = np.bitwise_count(high).astype(np.intp)
+    rank = np.asarray(prefix)[high] + np.asarray(suffix)[
+        (counts << bits) | (keys & ((1 << bits) - 1))]
+    complemented = 2 * np.bitwise_count(keys) > n
+    rank[complemented] += (1 << (n - 1)) - 1 - keys[complemented]
+    return rank
+
+
+def half_cube_key(theta: LabelVector) -> int:
+    """The half-cube key of theta: its labeling string read as a binary
+    number, or that of its complement where vertex 0 has label 1."""
+    n = theta.n
+    key = int(format(theta.word, f"0{n}b")[::-1], 2)
+    return key ^ ((1 << n) - 1) if key >> (n - 1) else key
+
+
 def canonical_index(theta: LabelVector) -> int:
-    """Position of theta in canonical_words(theta.n)."""
-    return int(np.searchsorted(canonical_keys(theta.n), int(theta.to_string(), 2)))
+    """Position of theta in canonical_words(theta.n), from the rank tables
+    in Python-int arithmetic."""
+    n = theta.n
+    key = half_cube_key(theta)
+    bits, prefix, suffix = _rank_tables(n)
+    high = key >> bits
+    rank = prefix[high] + suffix[(high.bit_count() << bits) | (key & ((1 << bits) - 1))]
+    if 2 * key.bit_count() > n:
+        rank += (1 << (n - 1)) - 1 - key
+    return rank
 
 
 def num_labelings(n: int, m: int | None = None) -> int:

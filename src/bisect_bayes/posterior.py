@@ -11,7 +11,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -23,10 +23,11 @@ from .model import (
     LabelVector,
     canonical_index,
     canonical_order,
+    canonical_positions,
     canonical_words,
     canonicalize_word,
     derive_rng,
-    half_cube_class_sizes,
+    half_cube_key,
     half_cube_keys,
     label_strings,
 )
@@ -45,38 +46,88 @@ __all__ = [
 ]
 
 
-def _half_cube_within_counts(x: Graph) -> np.ndarray:
-    """Within-class edge count of every half-cube labeling, in key order.
+# The half cube is scored one chunk at a time: a chunk is the 2^L keys that
+# share their bits from L up (L = min(n - 1, _CHUNK_BITS)), small enough
+# that its levels are still in cache when they are counted.
+_CHUNK_BITS = 14
+
+
+@lru_cache(maxsize=8)
+def _chunk_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph-independent rows of a chunk of n-vertex keys, read-only:
+    its low keys l < 2^L (uint32); the class size of each low key alone,
+    min(popcount(l), n - popcount(l)) (int16); and per count k of high
+    bits set, the change in class size as one more high bit is set,
+    c(k + 1 + popcount(l)) - c(k + popcount(l)) with c(t) = min(t, n - t)
+    (int16, one row per k < n - 1 - L)."""
+    bits = min(n - 1, _CHUNK_BITS)
+    low = np.arange(1 << bits, dtype=np.uint32)
+    t = np.arange(n - bits, dtype=np.int16)[:, np.newaxis] + np.bitwise_count(low)
+    sizes = np.minimum(t, n - t)
+    tables = low, sizes[0], np.diff(sizes, axis=0)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Level m·(E+1) + s of every half-cube labeling, in key order, and how
+    many labelings each level holds; m is the smaller-class size and s
+    the within-class edge count.
 
     Key bit n-1-v is the label of vertex v, so vertex 0 stays at label 0.
     Counts are built by vertex doubling from the last vertex down: with the
     vertices before v at label 0, giving vertex v label 1 makes its edges
     to the 1-labelled later vertices within-class and all its other edges
-    split. So the counts for keys h + 2^b (h < 2^b, b = n-1-v) are those
-    for h plus 2·popcount(h & later neighbours of v) − deg(v): n-1
-    vectorised passes over 2^(n-1) counts. int16 holds the n(n-1)/2 edges
-    of every n that uint32 keys allow.
+    split. So the keys h + 2^b (h < 2^b, b = n-1-v) have s of h plus
+    2·popcount(h & later neighbours of v) − deg(v). The first chunk is
+    built so, bit by bit. For b >= L, the chunk of keys h + 2^b is the
+    finished chunk of keys h plus one row: per key, 2·popcount of its
+    low bits & later neighbours of v; for the whole chunk, 2·popcount of
+    its high bits & later neighbours of v, minus deg(v); and the change
+    in class size, picked by the popcount of the high bits. Each chunk is
+    counted as soon as it is built. The levels, at most (n//2)(E+1) + E,
+    fit int16 for every n that uint32 keys allow.
     """
     n = x.n
-    s = np.empty(1 << (n - 1), dtype=np.int16)
-    s[0] = x.num_edges
-    h = np.arange(len(s) // 2, dtype=np.uint32)
-    for b in range(n - 1):
+    e = x.num_edges
+    low, sizes, steps = _chunk_tables(n)
+    size = len(low)
+    bits = size.bit_length() - 1
+    levels = np.empty(1 << (n - 1), dtype=np.int16)
+    counts = np.zeros((n // 2 + 1) * (e + 1), dtype=np.int64)
+    # neighbour masks over key bits: bit n-1-u for neighbour u
+    later = [int(format(mask, f"0{n}b")[::-1], 2) for mask in x.neighbor_masks]
+    degree = [mask.bit_count() for mask in x.neighbor_masks]
+    first = levels[:size]
+    first[0] = e
+    for b in range(bits):
+        v, half = n - 1 - b, 1 << b
+        lower = np.bitwise_count(low[:half] & np.uint32(later[v] & (half - 1)))
+        first[half:2 * half] = first[:half] + 2 * lower - degree[v]
+    first += sizes * (e + 1)
+    counts += np.bincount(first, minlength=len(counts))
+    class_steps = steps * (e + 1)
+    row = np.empty(size, dtype=np.int16)
+    for b in range(bits, n - 1):
         v = n - 1 - b
-        half = 1 << b
-        # neighbours of v on key bits below b, i.e. the vertices after v
-        mask = x.neighbor_masks[v]
-        later = int(format(mask, f"0{n}b")[::-1], 2) & (half - 1)
-        lower = np.bitwise_count(h[:half] & np.uint32(later))
-        s[half:2 * half] = s[:half] + 2 * lower - mask.bit_count()
-    return s
+        within = 2 * np.bitwise_count(low & np.uint32(later[v] & (size - 1)))
+        high = later[v] & ((1 << b) - size)  # on key bits L..b-1
+        for q in range(0, 1 << b, size):
+            np.add(within, class_steps[q.bit_count()], out=row)
+            row += 2 * (q & high).bit_count() - degree[v]
+            chunk = levels[(1 << b) + q:][:size]
+            np.add(levels[q:q + size], row, out=chunk)
+            counts += np.bincount(chunk, minlength=len(counts))
+    return levels, counts
 
 
 def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
     """Within-class edge count for each packed labeling word (any words of
-    n bits, canonical or not): the half-cube counts read at each word's
+    n bits, canonical or not): the half-cube levels read at each word's
     key, a labeling and its complement splitting the same edges."""
-    return _half_cube_within_counts(x)[half_cube_keys(words, x.n)]
+    levels, _ = _half_cube_levels(x)
+    return levels[half_cube_keys(words, x.n)] % (x.num_edges + 1)
 
 
 def log_sum_exp(values: np.ndarray, counts: np.ndarray | None = None) -> float:
@@ -149,15 +200,16 @@ class PosteriorTable:
 
     @classmethod
     def _from_half_cube(cls, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                        half_level: np.ndarray, level_log_mass: np.ndarray,
+                        half_level: np.ndarray, level_count: np.ndarray,
+                        level_log_mass: np.ndarray,
                         level_class_size: np.ndarray) -> "PosteriorTable":
         """The table over canonical_words(n) whose labeling with half-cube
-        key h lies in level half_level[h]. Its levels are counted in key
-        order; the canonical ``level`` is built only when read."""
+        key h lies in level half_level[h], level_count[i] labelings lying
+        in level i. The canonical ``level`` is built only when read."""
         table = cls.__new__(cls)
         table._half_level = half_level
         table._set_levels(n, words, class_sizes, level_log_mass, level_class_size,
-                          np.bincount(half_level, minlength=len(level_log_mass)))
+                          level_count)
         return table
 
     def _set_levels(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
@@ -231,7 +283,30 @@ class PosteriorTable:
         return self._level_prob, self._level_count
 
     def probability(self, theta: LabelVector) -> float:
+        if hasattr(self, "_half_level") and theta.n == self.n:
+            return float(self._level_prob[self._half_level[half_cube_key(theta)]])
         return float(self._level_prob[self.level[self._lookup(theta)]])
+
+    def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For a boolean mask over the levels: the index positions of the
+        labelings in the levels it selects, in no set order, and the level
+        of each. An exact table finds them in one pass over its key-order
+        levels, a chunk at a time, and builds no ``level``."""
+        if not hasattr(self, "_half_level"):  # a table from the constructor
+            positions = np.flatnonzero(levels[self.level])
+            return positions, self.level[positions]
+        half_level = self._half_level
+        size = min(len(half_level), 1 << _CHUNK_BITS)
+        index = np.empty(size, dtype=np.intp)
+        hit = np.empty(size, dtype=bool)
+        found = []
+        for start in range(0, len(half_level), size):
+            # an intp index, so that the gather casts nothing
+            np.copyto(index, half_level[start:start + size])
+            np.take(levels, index, out=hit)
+            found.append(np.flatnonzero(hit) + start)
+        keys = np.concatenate(found)
+        return canonical_positions(keys, self.n), half_level[keys]
 
     def labelings(self) -> Iterator[LabelVector]:
         for w in self.words:
@@ -317,9 +392,7 @@ def exact_posterior(
     n = x.n
     words, ms = canonical_words(n, cap)
     e = x.num_edges
-    # (n//2)(E + 1) + E levels fit int16 for every n that uint32 words allow
-    half_level = np.multiply(half_cube_class_sizes(n), e + 1, dtype=np.int16)
-    half_level += _half_cube_within_counts(x)
+    half_level, level_count = _half_cube_levels(x)
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
     wp = _within_pair_counts(np.arange(n // 2 + 1), n)[:, np.newaxis]
     total_pairs = n * (n - 1) // 2
@@ -332,8 +405,8 @@ def exact_posterior(
     lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
     level_log_mass = (lp + ll).ravel()
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
-    return PosteriorTable._from_half_cube(n, words, ms, half_level, level_log_mass,
-                                          level_class_size)
+    return PosteriorTable._from_half_cube(n, words, ms, half_level, level_count,
+                                          level_log_mass, level_class_size)
 
 
 def posterior_mass(

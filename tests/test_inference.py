@@ -114,14 +114,34 @@ def hpd_table(case):
     return exact_posterior(graph, prior, model)
 
 
+# Cases whose taken groups hold more than 1/32 of the labelings, so that
+# the mask is gathered through the canonical level; every other case
+# scatters the positions of the labelings taken (sharp at 0.01, unleveled
+# at 0.01 and far at 0.999 take part of their last group).
+GATHERED = {("flat", 0.01), ("flat", 0.05), ("flat", 0.5),
+            ("tied", 0.01), ("tied", 0.05), ("tied", 0.5), ("tied", 0.999)}
+
+
 class TestHpdMatchesFullSort:
     @pytest.mark.parametrize("case", ["sharp", "flat", "tied", "unleveled", "far"])
     @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.5, 0.999])
-    def test_same_members_and_mass(self, case, gamma):
+    def test_same_members_and_mass(self, case, gamma, monkeypatch):
+        scattered = []
+        labelings_in = PosteriorTable.labelings_in
+
+        def recording(table, levels):
+            scattered.append(levels)
+            return labelings_in(table, levels)
+
+        monkeypatch.setattr(PosteriorTable, "labelings_in", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = hpd_table(case)
             hpd = hpd_credible_set(table, gamma)
+        assert bool(scattered) == ((case, gamma) not in GATHERED)
+        if case != "unleveled":
+            # an exact table builds the canonical level only to gather
+            assert ("level" in vars(table)) == ((case, gamma) in GATHERED)
         members, mass = full_sort_hpd(table, gamma)
         assert hpd.members == members
         assert hpd.achieved_mass == mass

@@ -26,8 +26,8 @@ from bisect_bayes import (
 )
 from bisect_bayes import model as model_module
 from bisect_bayes.model import (
-    canonical_keys,
     canonical_order,
+    canonical_positions,
     canonical_words,
     half_cube_keys,
     label_strings,
@@ -143,9 +143,15 @@ class TestCanonicalIndex:
         assert got_words.dtype == np.uint32 and got_ms.dtype == np.uint8
         assert np.array_equal(got_words, words)
         assert np.array_equal(got_ms, ms)
-        assert np.array_equal(canonical_keys(n), keys)
-        assert not (got_words.flags.writeable or got_ms.flags.writeable
-                    or canonical_keys(n).flags.writeable)
+        assert not (got_words.flags.writeable or got_ms.flags.writeable)
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_position_map_inverts_full_cube_oracle(self, n):
+        # the position of every canonical labeling from its half-cube key
+        keys, _, _ = full_cube_canonical_words(n)
+        full = np.uint32((1 << n) - 1)
+        half = np.minimum(keys, keys ^ full).astype(np.intp)
+        assert np.array_equal(canonical_positions(half, n), np.arange(len(keys)))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_canonical_order_reads_keys_and_complements(self, n):
@@ -153,7 +159,7 @@ class TestCanonicalIndex:
         # labeling's key or that of its complement
         half = np.arange(1 << (n - 1), dtype=np.uint32)
         full = np.uint32((1 << n) - 1)
-        keys = canonical_keys(n)
+        keys, _, _ = full_cube_canonical_words(n)
         assert np.array_equal(canonical_order(half, n), np.minimum(keys, keys ^ full))
 
     @pytest.mark.parametrize("n", range(1, 13))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -25,10 +26,10 @@ from bisect_bayes import (
     sample_graph,
 )
 from bisect_bayes import cli, inference
-from bisect_bayes.model import canonical_order, canonical_words
+from bisect_bayes.model import canonical_index, canonical_order, canonical_words
 from bisect_bayes.posterior import (
     PosteriorTable,
-    _half_cube_within_counts,
+    _half_cube_levels,
     log_sum_exp,
     within_edge_counts,
 )
@@ -107,12 +108,12 @@ class TestWithinEdgeCounts:
     def test_canonical_order_kernel_matches_oracles(self, n):
         words, _ = canonical_words(n)
         for g in oracle_graphs(n):
-            got = canonical_order(_half_cube_within_counts(g), n)
+            got = canonical_order(_half_cube_levels(g)[0] % (g.num_edges + 1), n)
             assert got.dtype == np.int16
             assert np.array_equal(got, edge_loop_counts(g, words))
             assert np.array_equal(got, full_cube_counts(g, words))
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", range(1, 19))
     def test_level_histogram_matches_full_cube_oracle(self, n):
         words, ms = canonical_words(n)
         model = EdgeModel(0.7, 0.2)
@@ -211,6 +212,14 @@ class TestExactPosterior:
         table = exact_posterior(sample_graph(LabelVector(n, 0), model, n), UNIFORM, model)
         for k, theta in enumerate(table.labelings()):
             assert table._lookup(theta) == k
+
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
+    def test_point_lookup_reads_key_order_levels(self, kind):
+        table = reduction_tables()[kind]
+        thetas = list(table.labelings())
+        got = [table.probability(theta) for theta in thetas]
+        assert "level" not in vars(table)
+        assert got == [table.probabilities[canonical_index(theta)] for theta in thetas]
 
     def test_class_sizes_are_not_copied(self):
         # every table of n vertices shares the cached class-size array
@@ -353,6 +362,8 @@ class TestPerLabelingArraysOnDemand:
         return made
 
     @pytest.mark.parametrize("argv", [
+        ["credible", "--gamma", "0.05", "--enlarge", "0"],
+        ["credible", "--gamma", "0.05", "--enlarge", "1"],
         ["credible", "--gamma", "0.05", "--enlarge", "2"],
         ["test", "--m0", "0", "--complement"],
         ["test", "--m0", "4", "--m1", "8"],
@@ -366,9 +377,29 @@ class TestPerLabelingArraysOnDemand:
         assert len(tables) == 1 and len(tables[0]) == 1 << 15
         assert "probabilities" not in vars(tables[0])
         assert "log_unnormalized" not in vars(tables[0])
-        if argv[0] == "test":
-            # class-size tests read the level counts alone
-            assert "level" not in vars(tables[0])
+        # class-size tests read the level counts alone, and a small
+        # credible set is found from the key-order levels
+        assert "level" not in vars(tables[0])
+
+    @pytest.mark.parametrize("query, limit", [
+        (lambda table: inference.class_size_odds(table, 0, None), 4),
+        (lambda table: inference.enlarge(inference.hpd_credible_set(table, 0.05), 1), 5),
+    ], ids=["test", "credible"])
+    def test_peak_bytes_per_labeling(self, query, limit):
+        # the key-order levels (2 bytes) and a set's mask (1 byte) are the
+        # only per-labeling arrays a class-size test or a small credible
+        # set allocates; cached index arrays are warmed first
+        n = 20
+        model = EdgeModel(0.7, 0.2)
+        g = sample_graph(canonicalize([v < 5 for v in range(n)]), model, 0)
+        query(exact_posterior(g, UNIFORM, model))
+        tracemalloc.start()
+        try:
+            query(exact_posterior(g, UNIFORM, model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit << (n - 1)
 
     def test_arrays_are_built_once_and_read_only(self):
         table = reduction_tables()["flat"]
