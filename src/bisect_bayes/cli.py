@@ -119,7 +119,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="override the config's output CSV path")
     p.add_argument("--threads", type=int,
-                   help="worker threads (default: BISECT_BAYES_THREADS or 1)")
+                   help="worker count, checked but not used: replications run "
+                        "serially, with the same output for every count "
+                        "(default: BISECT_BAYES_THREADS or 1)")
 
     sub.add_parser("verify",
                    help="run the inequality and prior-ratio grid checks")

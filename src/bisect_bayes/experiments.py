@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional, TextIO
@@ -280,13 +279,6 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _parallel(fn: Callable[[int], object], count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _plant(rng: np.random.Generator, n: int, planted_m: Optional[int]) -> LabelVector:
     if planted_m is None:
         words, _ = canonical_words(n)
@@ -356,7 +348,7 @@ def run_recovery(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             )
         return mode == theta0, point, ball
 
-    records = _parallel(one, cfg.replications, threads)
+    records = [one(i) for i in range(cfg.replications)]
     match_rate = sum(1 for hit, _, _ in records if hit) / cfg.replications
     point_mean, point_se = _mean_se([pt for _, pt, _ in records])
     tail_mean, tail_se = _mean_se([1.0 - pt for _, pt, _ in records])
@@ -415,7 +407,7 @@ def run_coverage(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         enlarged = enlarge(hpd, cfg.radius)
         return theta0 in hpd, theta0 in enlarged, 1.0 - table.probability(theta0)
 
-    records = _parallel(one, cfg.replications, threads)
+    records = [one(i) for i in range(cfg.replications)]
     cov = sum(1 for c, _, _ in records if c) / cfg.replications
     cov_enl = sum(1 for _, c, _ in records if c) / cfg.replications
 
@@ -456,7 +448,7 @@ def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             table = exact_posterior(graph, cfg.prior, model)
             return class_size_odds(table, cfg.m0, cfg.m1)
 
-        return _parallel(one, cfg.replications, threads)
+        return [one(i) for i in range(cfg.replications)]
 
     def plant_null(rng):
         return _plant(rng, cfg.n, cfg.m0)
@@ -517,7 +509,7 @@ def run_phase_diagram(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
         table = exact_posterior(graph, cfg.prior, model)
         return table.mode() == theta0, table.mass_of_ball(theta0, radius)
 
-    records = _parallel(one, len(cells) * cfg.replications, threads)
+    records = [one(i) for i in range(len(cells) * cfg.replications)]
     rows = []
     for cell, (a, b) in enumerate(cells):
         chunk = records[cell * cfg.replications:(cell + 1) * cfg.replications]
@@ -565,7 +557,7 @@ def run_bound_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
         )
         return point_tail, ball_tail
 
-    records = _parallel(one, cfg.replications, threads)
+    records = [one(i) for i in range(cfg.replications)]
     tail_mean, tail_se = _mean_se([pt for pt, _ in records])
 
     # the pairwise bound depends on the planted labeling only through its
@@ -612,6 +604,13 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Run the experiment a config describes.
+
+    Replications run one after another in index order, whatever
+    ``threads`` says: they hold the interpreter lock, so a thread pool
+    made them slower, not faster. Each draws from its own seeded stream,
+    so the result is the same for every worker count.
+    """
     return _RUNNERS[cfg.kind](cfg, threads)
 
 
