@@ -319,7 +319,7 @@ def _base_row(cfg: ExperimentConfig, **extra) -> dict:
     return row
 
 
-def run_recovery(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_recovery(cfg: ExperimentConfig) -> ExperimentResult:
     """Plant, sample, infer; report recovery frequency and posterior mass
     at and around the planted labeling, with the matching tail bounds."""
     if cfg.kind != RECOVERY:
@@ -391,7 +391,7 @@ def _sample_ball_mass(result, theta0: LabelVector, radius: Optional[int]):
     return hits / len(result.samples)
 
 
-def run_coverage(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
     """Empirical coverage of greedy credible sets and their enlargement,
     against the conversion lower bounds (clipped at 0)."""
     if cfg.kind != COVERAGE:
@@ -433,7 +433,7 @@ def run_coverage(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(config=cfg, rows=tuple(rows))
 
 
-def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_test_error(cfg: ExperimentConfig) -> ExperimentResult:
     """Type I/II frequencies of the posterior-odds test, with the error
     bounds evaluated at rates estimated from the same replications."""
     if cfg.kind != TEST_ERROR:
@@ -489,7 +489,7 @@ def run_test_error(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(config=cfg, rows=tuple(rows))
 
 
-def run_phase_diagram(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_phase_diagram(cfg: ExperimentConfig) -> ExperimentResult:
     """Sweep a sparsity grid; per cell, recovery frequency and ball mass
     with the theoretical separation statistic for overlay."""
     if cfg.kind != PHASE_DIAGRAM:
@@ -537,7 +537,7 @@ def run_phase_diagram(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResu
     return ExperimentResult(config=cfg, rows=tuple(rows))
 
 
-def run_bound_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_bound_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo tail masses next to the closed-form bounds that are
     supposed to dominate them."""
     if cfg.kind != BOUND_CHECK:
@@ -611,7 +611,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     made them slower, not faster. Each draws from its own seeded stream,
     so the result is the same for every worker count.
     """
-    return _RUNNERS[cfg.kind](cfg, threads)
+    return _RUNNERS[cfg.kind](cfg)
 
 
 def write_result(result: ExperimentResult, csv_path: str) -> str:

@@ -93,6 +93,9 @@ class EnlargedSet(_LabelingMask):
 # A credible set whose probability groups hold at most one labeling in
 # _SMALL_SET is found from the key-order levels; a larger one is gathered
 # through the canonical level of every labeling, a cheaper pass per member.
+# Timed on flat graphs, the scatter is the faster below a share of about
+# 1/10 at n = 18 and 22, and within about 10% of the gather up to 1/32 at
+# n = 14; at a share of 3/4 (coverage-flat) the gather takes half the time.
 _SMALL_SET = 32
 
 # Relative rounding of the group mass sums is at most about 1e-16 times the

@@ -301,8 +301,9 @@ def half_cube_key(theta: LabelVector) -> int:
 
 
 def canonical_index(theta: LabelVector) -> int:
-    """Position of theta in canonical_words(theta.n), from the rank tables
-    in Python-int arithmetic."""
+    """Position of theta in canonical_words(theta.n): canonical_positions
+    for one key, in Python-int arithmetic, since a numpy call per lookup
+    costs about ten times as much (1-2 us against 10-17 us)."""
     n = theta.n
     key = half_cube_key(theta)
     bits, prefix, suffix = _rank_tables(n)
