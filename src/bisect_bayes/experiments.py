@@ -136,9 +136,9 @@ class ExperimentConfig:
             if value is not None and value < 0:
                 raise ValueError(f"config field {name!r}={value} must be >= 0")
         for t in self.thresholds:
-            if not t > 0:
+            if not 0 < t < math.inf:
                 raise ValueError(f"config field 'thresholds' holds {t!r}; "
-                                 "every threshold must be > 0")
+                                 "every threshold must be positive and finite")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma={self.gamma} must lie in (0, 1)")
         if self.kind != RECOVERY and self.n > ENUMERATION_CAP:

@@ -273,6 +273,11 @@ def odds_error_bounds(
     return one_sided, two_term
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+
+
 @dataclass(frozen=True)
 class OddsTestResult:
     """Outcome of a posterior-odds test of H0 against H1."""
@@ -286,8 +291,7 @@ class OddsTestResult:
     mass_h1: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        _check_threshold(self.threshold)
         if self.reject_null != (self.log_f > math.log(self.threshold)):
             raise ValueError("rejection flag inconsistent with log odds")
 
@@ -336,6 +340,7 @@ def class_size_test(
     bound fields are filled only when the rate inputs a_n (and optionally
     b_n) are supplied, e.g. as Monte Carlo estimates from a harness.
     """
+    _check_threshold(threshold)
     n = x.n
     if not (0 <= m0 <= n // 2):
         raise ValueError(f"m0={m0} out of range for n={n}")

@@ -48,7 +48,8 @@ __all__ = [
 
 # The half cube is scored one chunk at a time: a chunk is the 2^L keys that
 # share their bits from L up (L = min(n - 1, _CHUNK_BITS)), small enough
-# that its levels are still in cache when they are counted.
+# that its levels are still in cache when they are counted, and that its
+# count of any one level fits uint16.
 _CHUNK_BITS = 14
 
 
@@ -71,9 +72,10 @@ def _chunk_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Level m·(E+1) + s of every half-cube labeling, in key order, and how
-    many labelings each level holds; m is the smaller-class size and s
-    the within-class edge count.
+    """Level m·(E+1) + s of every half-cube labeling, in key order, and per
+    chunk of 2^L keys how many of its labelings each level holds (uint16,
+    one row per chunk; a chunk holds at most 2^14 keys); m is the
+    smaller-class size and s the within-class edge count.
 
     Key bit n-1-v is the label of vertex v, so vertex 0 stays at label 0.
     Counts are built by vertex doubling from the last vertex down: with the
@@ -86,7 +88,7 @@ def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
     low bits & later neighbours of v; for the whole chunk, 2·popcount of
     its high bits & later neighbours of v, minus deg(v); and the change
     in class size, picked by the popcount of the high bits. Each chunk is
-    counted as soon as it is built. The levels, at most (n//2)(E+1) + E,
+    counted into its own row as soon as it is built. The levels, at most (n//2)(E+1) + E,
     fit int16 for every n that uint32 keys allow.
     """
     n = x.n
@@ -95,7 +97,7 @@ def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
     size = len(low)
     bits = size.bit_length() - 1
     levels = np.empty(1 << (n - 1), dtype=np.int16)
-    counts = np.zeros((n // 2 + 1) * (e + 1), dtype=np.int64)
+    counts = np.empty((len(levels) // size, (n // 2 + 1) * (e + 1)), dtype=np.uint16)
     # neighbour masks over key bits: bit n-1-u for neighbour u
     later = [int(format(mask, f"0{n}b")[::-1], 2) for mask in x.neighbor_masks]
     degree = [mask.bit_count() for mask in x.neighbor_masks]
@@ -106,7 +108,7 @@ def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
         lower = np.bitwise_count(low[:half] & np.uint32(later[v] & (half - 1)))
         first[half:2 * half] = first[:half] + 2 * lower - degree[v]
     first += sizes * (e + 1)
-    counts += np.bincount(first, minlength=len(counts))
+    counts[0] = np.bincount(first, minlength=counts.shape[1])
     class_steps = steps * (e + 1)
     row = np.empty(size, dtype=np.int16)
     for b in range(bits, n - 1):
@@ -116,10 +118,11 @@ def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
         for q in range(0, 1 << b, size):
             np.add(within, class_steps[q.bit_count()], out=row)
             row += 2 * (q & high).bit_count() - degree[v]
-            chunk = levels[(1 << b) + q:][:size]
+            start = (1 << b) + q
+            chunk = levels[start:start + size]
             np.add(levels[q:q + size], row, out=chunk)
-            counts += np.bincount(chunk, minlength=len(counts))
-    return levels, counts
+            counts[start >> bits] = np.bincount(chunk, minlength=counts.shape[1])
+    return levels, _read_only(counts)
 
 
 def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
@@ -200,14 +203,18 @@ class PosteriorTable:
 
     @classmethod
     def _from_half_cube(cls, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                        half_level: np.ndarray, level_count: np.ndarray,
+                        half_level: np.ndarray, chunk_count: np.ndarray,
                         level_log_mass: np.ndarray,
                         level_class_size: np.ndarray) -> "PosteriorTable":
         """The table over canonical_words(n) whose labeling with half-cube
-        key h lies in level half_level[h], level_count[i] labelings lying
-        in level i. The canonical ``level`` is built only when read."""
+        key h lies in level half_level[h], chunk_count[c, i] of the keys in
+        chunk c (keys c·2^L to (c + 1)·2^L − 1) lying in level i. The level
+        counts are its column sums (at most 2^(n-1), summed in uint32); the
+        canonical ``level`` is built only when read."""
         table = cls.__new__(cls)
         table._half_level = half_level
+        table._chunk_count = chunk_count
+        level_count = chunk_count.sum(axis=0, dtype=np.uint32).astype(np.int64)
         table._set_levels(n, words, class_sizes, level_log_mass, level_class_size,
                           level_count)
         return table
@@ -290,22 +297,26 @@ class PosteriorTable:
     def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a boolean mask over the levels: the index positions of the
         labelings in the levels it selects, in no set order, and the level
-        of each. An exact table finds them in one pass over its key-order
-        levels, a chunk at a time, and builds no ``level``."""
+        of each. An exact table reads its key-order levels only in the
+        chunks whose histogram holds a selected level, and builds no
+        ``level``."""
         if not hasattr(self, "_half_level"):  # a table from the constructor
             positions = np.flatnonzero(levels[self.level])
             return positions, self.level[positions]
         half_level = self._half_level
         size = min(len(half_level), 1 << _CHUNK_BITS)
+        held = self._chunk_count.compress(levels, axis=1).sum(axis=1, dtype=np.intp)
+        keys = np.empty(int(held.sum()), dtype=np.intp)
         index = np.empty(size, dtype=np.intp)
         hit = np.empty(size, dtype=bool)
-        found = []
-        for start in range(0, len(half_level), size):
+        end = 0
+        for start in (np.flatnonzero(held) * size).tolist():
             # an intp index, so that the gather casts nothing
             np.copyto(index, half_level[start:start + size])
             np.take(levels, index, out=hit)
-            found.append(np.flatnonzero(hit) + start)
-        keys = np.concatenate(found)
+            found = np.flatnonzero(hit)
+            np.add(found, start, out=keys[end:end + len(found)])
+            end += len(found)
         return canonical_positions(keys, self.n), half_level[keys]
 
     def labelings(self) -> Iterator[LabelVector]:
@@ -383,7 +394,7 @@ def exact_posterior(
     n = x.n
     words, ms = canonical_words(n, cap)
     e = x.num_edges
-    half_level, level_count = _half_cube_levels(x)
+    half_level, chunk_count = _half_cube_levels(x)
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
     wp = _within_pair_counts(np.arange(n // 2 + 1), n)[:, np.newaxis]
     total_pairs = n * (n - 1) // 2
@@ -396,7 +407,7 @@ def exact_posterior(
     lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
     level_log_mass = (lp + ll).ravel()
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
-    return PosteriorTable._from_half_cube(n, words, ms, half_level, level_count,
+    return PosteriorTable._from_half_cube(n, words, ms, half_level, chunk_count,
                                           level_log_mass, level_class_size)
 
 

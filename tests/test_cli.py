@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from bisect_bayes import inference
 from bisect_bayes.cli import main
 
 
@@ -194,6 +195,21 @@ class TestTestCommand:
         ], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+    def test_bad_threshold_exits_2(self, graph_file, capsys, monkeypatch, threshold):
+        def unscored(*args, **kwargs):
+            raise AssertionError("the threshold is checked before scoring")
+
+        monkeypatch.setattr(inference, "exact_posterior", unscored)
+        code, out, err = run([
+            "test", "--graph", str(graph_file), "--prior", "bernoulli:r=0.5",
+            "--p", "0.9", "--q", "0.1", "--m0", "5", "--complement",
+            "--threshold", threshold,
+        ], capsys)
+        assert code == 2
+        assert err.startswith("error: threshold ") and err.count("\n") == 1
+        assert out == ""
+
 
 class TestBounds:
     def test_point_tail_uniform(self, capsys):
@@ -309,7 +325,7 @@ class TestMalformedJson:
         # out of range: checked when the config loads, whatever the kind
         ("planted_m", 4), ("m0", 4), ("m0", -2), ("m1", 7), ("m1", -1),
         ("ball_radius", -3), ("radius", -1), ("thresholds", [0.0]),
-        ("thresholds", [1.0, -2.0]),
+        ("thresholds", [1.0, -2.0]), ("thresholds", [float("inf")]),
     ])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, field, value):
         cfg = {"schema_version": 1, "kind": "recovery", "n": 6,

@@ -10,6 +10,7 @@ from bisect_bayes import (
     EnlargedSet,
     FixedBernoulli,
     LabelVector,
+    OddsTestResult,
     PosteriorTable,
     UniformClassSize,
     canonical_words,
@@ -100,6 +101,12 @@ def hpd_table(case):
             table = PosteriorTable(table.n, table.words, table.class_sizes,
                                    table.log_unnormalized)
         return table
+    if case == "sharp18":
+        # the half cube spans eight chunks of 2^14 keys, not all of which
+        # hold the labelings taken
+        theta0 = LabelVector.from_string("0" * 14 + "1" * 4)
+        model = EdgeModel(0.7, 0.2)
+        return exact_posterior(sample_graph(theta0, model, 5), UNIFORM, model)
     graph, model, prior = {
         "flat": (sample_graph(LabelVector.from_string("0" * 9 + "1" * 5),
                               EdgeModel(0.5, 0.45), 2),
@@ -123,7 +130,8 @@ GATHERED = {("flat", 0.01), ("flat", 0.05), ("flat", 0.5),
 
 
 class TestHpdMatchesFullSort:
-    @pytest.mark.parametrize("case", ["sharp", "flat", "tied", "unleveled", "far"])
+    @pytest.mark.parametrize("case", ["sharp", "flat", "tied", "unleveled", "far",
+                                      "sharp18"])
     @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.5, 0.999])
     def test_same_members_and_mass(self, case, gamma, monkeypatch):
         scattered = []
@@ -378,6 +386,11 @@ class TestOddsErrorBounds:
 
 
 class TestClassSizeTest:
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            OddsTestResult(log_f=0.0, threshold=threshold, reject_null=False)
+
     def test_flat_case_reduces_to_prior_odds(self):
         n = 8
         model = EdgeModel(0.3, 0.3)

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import warnings
@@ -26,7 +27,12 @@ from bisect_bayes import (
     sample_graph,
 )
 from bisect_bayes import cli, inference
-from bisect_bayes.model import canonical_index, canonical_order, canonical_words
+from bisect_bayes.model import (
+    canonical_index,
+    canonical_order,
+    canonical_positions,
+    canonical_words,
+)
 from bisect_bayes.posterior import (
     PosteriorTable,
     _half_cube_levels,
@@ -62,6 +68,18 @@ def full_cube_counts(x, words):
         lower = np.bitwise_count(j[:half] & np.uint32(mask & (half - 1)))
         s[half:2 * half] = s[:half] + 2 * lower - mask.bit_count()
     return s[words]
+
+
+def key_order_levels(x):
+    """Reference levels m·(E+1) + s of the half-cube keys in key order,
+    key bit n-1-v being the label of vertex v, with s from full_cube_counts."""
+    n = x.n
+    keys = np.arange(1 << (n - 1), dtype=np.uint32)
+    words = np.zeros_like(keys)
+    for v in range(n):
+        words |= ((keys >> np.uint32(n - 1 - v)) & np.uint32(1)) << np.uint32(v)
+    ones = np.bitwise_count(words).astype(np.int64)
+    return np.minimum(ones, n - ones) * (x.num_edges + 1) + full_cube_counts(x, words)
 
 
 def oracle_graphs(n):
@@ -126,6 +144,61 @@ class TestWithinEdgeCounts:
             assert np.array_equal(table.level_masses()[1],
                                   np.bincount(levels, minlength=(n // 2 + 1) * (e + 1)))
             assert np.array_equal(table.level, levels)
+            # one histogram row per chunk of 2^14 keys, summing to the counts
+            keyed = key_order_levels(g)
+            size = min(1 << 14, len(keyed))
+            chunks = table._chunk_count
+            assert chunks.dtype == np.uint16 and not chunks.flags.writeable
+            assert chunks.shape == (len(keyed) // size, (n // 2 + 1) * (e + 1))
+            for c, row in enumerate(chunks):
+                assert np.array_equal(row, np.bincount(keyed[c * size:(c + 1) * size],
+                                                       minlength=chunks.shape[1]))
+            assert np.array_equal(chunks.sum(axis=0), table.level_masses()[1])
+
+    @pytest.mark.parametrize("n", range(15, 19))
+    def test_labelings_in_matches_full_scan(self, n):
+        # n = 15 is one chunk of 2^14 keys, n = 18 is eight
+        rng = np.random.default_rng(n)
+        model = EdgeModel(0.7, 0.2)
+        for g in oracle_graphs(n):
+            table = exact_posterior(g, UNIFORM, model)
+            count = table.level_masses()[1]
+            reached = np.flatnonzero(count)
+            masks = [np.zeros(len(count), dtype=bool), np.ones(len(count), dtype=bool),
+                     rng.random(len(count)) < 0.5]
+            for k in (1, 2, 5):
+                mask = np.zeros(len(count), dtype=bool)
+                mask[rng.choice(reached, size=min(k, len(reached)), replace=False)] = True
+                masks.append(mask)
+            for levels in masks:
+                positions, level = table.labelings_in(levels)
+                expected = np.flatnonzero(levels[table.level])
+                order = np.argsort(positions)
+                assert np.array_equal(positions[order], expected)
+                assert np.array_equal(level[order], table.level[expected])
+
+    def test_labelings_in_skips_chunks_without_the_levels(self):
+        # a forged copy whose key-order levels put the top level into a
+        # chunk whose histogram row does not hold it: those keys are never
+        # read, where a full scan would return them
+        n = 18
+        model = EdgeModel(0.7, 0.2)
+        g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), model, 0)
+        table = exact_posterior(g, UNIFORM, model)
+        prob = table.level_masses()[0]
+        top = prob == prob.max()
+        half_level = table._half_level
+        rows = top[half_level].reshape(-1, 1 << 14).any(axis=1)
+        assert rows.any() and not rows.all()
+        start = int(np.flatnonzero(~rows)[0]) << 14
+        forged = copy.copy(table)
+        forged._half_level = half_level.copy()
+        forged._half_level[start:start + 3] = np.flatnonzero(top)[0]
+        positions, level = forged.labelings_in(top)
+        expected, _ = table.labelings_in(top)
+        assert np.array_equal(np.sort(positions), np.sort(expected))
+        assert not np.isin(canonical_positions(start + np.arange(3), n), positions).any()
+        assert top[level].all()
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_shuffled_raw_words(self, n):
@@ -474,10 +547,11 @@ class TestPosteriorMode:
         assert "level" not in vars(table) and "probabilities" not in vars(table)
         assert mode == self.argmax_oracle(table)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", [*range(1, 11), 16, 18])
     def test_matches_argmax_oracle_on_oracle_graphs(self, n):
         # empty and complete graphs tie whole class sizes, so the most
         # probable labelings have canonical keys on either side of the split
+        # and, at n = 16 and 18, in several chunks of 2^14 keys
         for g in oracle_graphs(n):
             for model in (EdgeModel(0.7, 0.2), EdgeModel(0.2, 0.7)):
                 for prior in (UNIFORM, FixedBernoulli(0.2), UniformClassSize(),
