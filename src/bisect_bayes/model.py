@@ -33,6 +33,8 @@ __all__ = [
     "half_cube_class_sizes",
     "canonical_index",
     "canonical_positions",
+    "ball_size",
+    "ball_keys",
     "num_labelings",
     "hamming",
     "sym_distance",
@@ -312,6 +314,44 @@ def canonical_index(theta: LabelVector) -> int:
     if 2 * key.bit_count() > n:
         rank += (1 << (n - 1)) - 1 - key
     return rank
+
+
+def ball_size(n: int, radius: int) -> int:
+    """How many n-bit words lie within Hamming distance < radius of a
+    word: the number of keys ball_keys lists."""
+    return sum(math.comb(n, d) for d in range(min(radius, n + 1)))
+
+
+@lru_cache(maxsize=8)
+def _flip_masks(n: int, radius: int) -> np.ndarray:
+    """Every n-bit word with fewer than ``radius`` bits set, built by vertex
+    doubling (intp, read-only, cached)."""
+    masks = np.zeros(1 if radius > 0 else 0, dtype=np.intp)
+    for v in range(n):
+        grown = masks[np.bitwise_count(masks) < radius - 1] | (1 << v)
+        masks = np.concatenate((masks, grown))
+    masks.setflags(write=False)
+    return masks
+
+
+def ball_keys(theta: LabelVector, radius: int) -> np.ndarray:
+    """Half-cube keys (intp) of the labelings within complement-folded
+    distance < radius of theta, in no set order: theta's word with each set
+    of fewer than radius bits flipped, ball_size(n, radius) keys in all.
+
+    A labeling lies within folded distance d of theta when it or its
+    complement lies within Hamming distance d of theta's word, and a key
+    stands for both, so each labeling of the ball is listed; it is listed
+    twice when both lie within radius - 1 flips, which needs
+    2(radius - 1) >= n. The words with fewer than radius bits set are
+    closed under reversing the bit order, so the flips are applied to
+    theta's labeling string read as a binary number, and each result is
+    folded to its key.
+    """
+    n = theta.n
+    keys = _flip_masks(n, min(radius, n + 1)) ^ int(format(theta.word, f"0{n}b")[::-1], 2)
+    keys ^= (keys >> (n - 1)) * ((1 << n) - 1)
+    return keys
 
 
 def num_labelings(n: int, m: int | None = None) -> int:

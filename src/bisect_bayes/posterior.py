@@ -21,6 +21,8 @@ from .model import (
     EdgeModel,
     Graph,
     LabelVector,
+    ball_keys,
+    ball_size,
     canonical_index,
     canonical_order,
     canonical_positions,
@@ -164,6 +166,14 @@ def _within_pair_counts(ms: np.ndarray, n: int) -> np.ndarray:
     return m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
 
 
+# A ball listed in more words than 1/_BALL_SHARE of the labelings is summed
+# by a scan over every labeling instead. Timed on flat graphs, the listing
+# is the faster up to a share of about 1/10 at n = 14 and 1/4 at n = 18
+# and 22 (at n = 22 and radius 3, 0.07 ms against 24 ms); at n = 12 both
+# take 25-40 us.
+_BALL_SHARE = 8
+
+
 class PosteriorTable:
     """Exact normalized posterior over all canonical labelings.
 
@@ -294,6 +304,14 @@ class PosteriorTable:
             return float(self._level_prob[self._half_level[half_cube_key(theta)]])
         return float(self._level_prob[self.level[self._lookup(theta)]])
 
+    def levels_at(self, keys: np.ndarray) -> np.ndarray:
+        """The level of the labeling with each half-cube key (intp keys
+        below 2^(n-1)); an exact table reads its key-order levels and
+        builds no ``level``."""
+        if not hasattr(self, "_half_level"):  # a table from the constructor
+            return self.level[canonical_positions(keys, self.n)]
+        return self._half_level[keys]
+
     def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a boolean mask over the levels: the index positions of the
         labelings in the levels it selects, in no set order, and the level
@@ -347,9 +365,20 @@ class PosteriorTable:
         return self.class_size_mass(np.arange(self.n // 2 + 1) == m)[1]
 
     def mass_of_ball(self, center: LabelVector, radius: int) -> float:
-        """Mass of labelings with complement-folded distance < radius."""
+        """Mass of labelings with complement-folded distance < radius.
+
+        A ball listed in at most 1/_BALL_SHARE as many words as there are
+        labelings is listed by model.ball_keys: its distinct labelings, in
+        index order, are summed by their level probabilities, the same
+        float64 sum as over the selected entries of ``probabilities``.
+        A larger ball is found by scanning every labeling.
+        """
         if center.n != self.n:
             raise ValueError(f"vertex counts differ: {center.n} vs {self.n}")
+        if _BALL_SHARE * ball_size(self.n, radius) <= len(self):
+            keys = ball_keys(center, radius)
+            _, first = np.unique(canonical_positions(keys, self.n), return_index=True)
+            return float(self._level_prob[self.levels_at(keys[first])].sum())
         k = np.bitwise_count(self.words ^ np.uint32(center.word)).astype(np.int64)
         sym = np.minimum(k, self.n - k)
         return float(self.probabilities[sym < radius].sum())

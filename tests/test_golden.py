@@ -41,8 +41,10 @@ CAP_GRAPHS = {
     "n21-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
     "n22-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
 }
-EXPERIMENTS = ("coverage-flat", "coverage-r2", "test-error", "bound-check", "recovery",
-               "phase-diagram")
+# coverage-tied (p == q) leaves two or three large probability groups, the
+# last of them partly taken; coverage-n20 is a flat coverage near the cap
+EXPERIMENTS = ("coverage-flat", "coverage-r2", "coverage-tied", "coverage-n20", "test-error",
+               "bound-check", "recovery", "phase-diagram")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:

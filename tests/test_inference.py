@@ -26,6 +26,7 @@ from bisect_bayes import (
     sym_distance,
 )
 from bisect_bayes import inference
+from bisect_bayes.model import canonical_index
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -146,6 +147,11 @@ class TestHpdMatchesFullSort:
             warnings.simplefilter("error")
             table = hpd_table(case)
             hpd = hpd_credible_set(table, gamma)
+            # the mask is built when first read, and not before
+            assert not scattered
+            if case != "unleveled":
+                assert "level" not in vars(table)
+            assert hpd.mask.any()
         assert bool(scattered) == ((case, gamma) not in GATHERED)
         if case != "unleveled":
             # an exact table builds the canonical level only to gather
@@ -293,6 +299,74 @@ class TestMaskSets:
                         achieved_mass=1.0)
 
 
+def membership_table(kind, n):
+    model, prior = {
+        "sharp": (EdgeModel(0.7, 0.2), UNIFORM),
+        "flat": (EdgeModel(0.5, 0.45), UniformClassSize()),
+        # p == q: rounding leaves two or three large probability groups,
+        # the last of them often partly taken
+        "tied": (EdgeModel(0.4, 0.4), UNIFORM),
+    }[kind]
+    theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
+    return exact_posterior(sample_graph(theta0, model, n), prior, model)
+
+
+class TestMembershipWithoutMasks:
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_membership_matches_mask(self, n, kind, monkeypatch):
+        # every enlargement is answered from the ball, however large
+        monkeypatch.setattr(inference, "_BALL_SHARE", 0)
+        thetas = list(enumerate_labelings(n))
+        for gamma in (0.05, 0.3, 0.7):
+            table = membership_table(kind, n)
+            hpd = hpd_credible_set(table, gamma)
+            sets = [hpd] + [enlarge(hpd, radius) for radius in range(n + 2)]
+            # every membership is read before any mask
+            answers = [[theta in s for theta in thetas] for s in sets]
+            assert not any("mask" in vars(s) for s in sets)
+            assert "level" not in vars(table)
+            for s, got in zip(sets, answers):
+                assert got == [bool(s.mask[canonical_index(t)]) for t in thetas]
+
+    def test_table_from_the_constructor(self, monkeypatch):
+        # its levels are read through the canonical level, not by key
+        monkeypatch.setattr(inference, "_BALL_SHARE", 0)
+        table = hpd_table("unleveled")
+        thetas = list(enumerate_labelings(table.n))
+        for gamma in (0.01, 0.5):
+            hpd = hpd_credible_set(table, gamma)
+            sets = [hpd, enlarge(hpd, 2), enlarge(hpd, 3)]
+            answers = [[theta in s for theta in thetas] for s in sets]
+            for s, got in zip(sets, answers):
+                assert got == [bool(s.mask[canonical_index(t)]) for t in thetas]
+        for radius in range(8):
+            center = thetas[radius * 97]
+            k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
+            scan = float(table.probabilities[np.minimum(k, 12 - k) < radius].sum())
+            assert table.mass_of_ball(center, radius) == scan
+
+    def test_large_ball_reads_the_mask(self):
+        # a ball of radius 6 at n = 12 is listed in 1586 words, more than
+        # half the 2048 labelings
+        hpd = hpd_credible_set(membership_table("flat", 12), 0.3)
+        wide = enlarge(hpd, 6)
+        thetas = list(enumerate_labelings(12))
+        assert thetas[0] in wide
+        assert "mask" in vars(wide)
+        oracle = scan_enlarge(hpd, 6)
+        assert [theta in wide for theta in thetas] == [theta in oracle for theta in thetas]
+
+    def test_tied_sets_take_part_of_their_last_group(self):
+        # so that membership there mostly turns on the rank among ties
+        partial = 0
+        for n in range(2, 13):
+            for gamma in (0.05, 0.3, 0.7):
+                rule = hpd_credible_set(membership_table("tied", n), gamma)._rule
+                partial += 0 < rule.taken < rule.tied
+        assert partial >= 25
+
+
 class TestConfidenceLowerBound:
     def test_formula(self):
         assert confidence_lower_bound(0.01, 0.5) == pytest.approx(0.98, rel=1e-12)
@@ -383,6 +457,11 @@ class TestOddsErrorBounds:
             odds_error_bounds(0.5, 0.0)
         with pytest.raises(ValueError):
             odds_error_bounds(0.5, 1.0, 1.5)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            odds_error_bounds(0.05, threshold, 0.01)
 
 
 class TestClassSizeTest:

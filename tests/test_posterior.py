@@ -26,7 +26,7 @@ from bisect_bayes import (
     posterior_mode,
     sample_graph,
 )
-from bisect_bayes import cli, inference
+from bisect_bayes import cli, inference, posterior
 from bisect_bayes.model import (
     canonical_index,
     canonical_order,
@@ -456,7 +456,7 @@ class TestPerLabelingArraysOnDemand:
 
     @pytest.mark.parametrize("query, limit", [
         (lambda table: inference.class_size_odds(table, 0, None), 4),
-        (lambda table: inference.enlarge(inference.hpd_credible_set(table, 0.05), 1), 5),
+        (lambda table: inference.enlarge(inference.hpd_credible_set(table, 0.05), 1).mask, 5),
     ], ids=["test", "credible"])
     def test_peak_bytes_per_labeling(self, query, limit):
         # the key-order levels (2 bytes) and a set's mask (1 byte) are the
@@ -502,6 +502,30 @@ class TestPosteriorMass:
         for k in range(1, 5):
             direct = posterior_mass(table, lambda t: sym_distance(t, center) < k)
             assert table.mass_of_ball(center, k) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_listed_ball_equals_scan(self, n, monkeypatch):
+        # every ball is listed, and sums the same floats in the same order
+        # as the scan; the graphs go sharp, flat and tied (p == q) with n
+        monkeypatch.setattr(posterior, "_BALL_SHARE", 0)
+        p, q, prior = ((0.7, 0.2, UNIFORM), (0.5, 0.45, UniformClassSize()),
+                       (0.4, 0.4, UNIFORM))[n % 3]
+        theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
+        model = EdgeModel(p, q)
+        table = exact_posterior(sample_graph(theta0, model, n), prior, model)
+        for center in enumerate_labelings(n):
+            k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
+            folded = np.minimum(k, n - k)
+            for radius in range(-1, n // 2 + 3):
+                scan = float(table.probabilities[folded < radius].sum())
+                assert table.mass_of_ball(center, radius) == scan
+
+    def test_small_ball_builds_no_per_labeling_array(self):
+        model = EdgeModel(0.7, 0.2)
+        theta0 = canonicalize([v < 5 for v in range(18)])
+        table = exact_posterior(sample_graph(theta0, model, 0), UNIFORM, model)
+        table.mass_of_ball(theta0, 3)
+        assert not {"level", "probabilities", "log_unnormalized"} & set(vars(table))
 
     def test_class_size_predicate(self, table):
         direct = posterior_mass(table, lambda t: t.m == 2)
