@@ -63,7 +63,6 @@ from .posterior import (
     PosteriorTable,
     exact_posterior,
     mcmc_posterior,
-    posterior_mass,
     posterior_mode,
 )
 from .priors import (

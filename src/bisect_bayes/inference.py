@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -339,26 +339,20 @@ def confidence_lower_bound(x_n: float, gamma: float) -> float:
     return 1.0 - x_n / (1.0 - gamma)
 
 
-Selection = Union[np.ndarray, Callable[[LabelVector], bool]]
-
-
-def _as_mask(table: PosteriorTable, selection: Selection) -> np.ndarray:
-    if callable(selection):
-        return table.select(selection)
+def _as_mask(table: PosteriorTable, selection: np.ndarray) -> np.ndarray:
     mask = np.asarray(selection)
     if mask.dtype != bool or mask.shape != (len(table),):
-        raise ValueError(f"a selection must be a predicate or a boolean mask "
+        raise ValueError(f"a selection must be a boolean mask "
                          f"over the table's {len(table)} labelings")
     return mask
 
 
-def posterior_odds(table: PosteriorTable, a_set: Selection, b_set: Selection) -> float:
+def posterior_odds(table: PosteriorTable, a_set: np.ndarray, b_set: np.ndarray) -> float:
     """log posterior odds of b_set against a_set.
 
-    Each set is a boolean mask over the table's index, or a predicate on
-    labelings. The sets must be disjoint and a_set must carry positive
-    mass. Computed via log-sum-exp over unnormalized masses, so the
-    normalizer cancels.
+    Each set is a boolean mask over the table's index. The sets must be
+    disjoint and a_set must carry positive mass. Computed via log-sum-exp
+    over unnormalized masses, so the normalizer cancels.
     """
     return _odds(table, _as_mask(table, a_set), _as_mask(table, b_set))[0]
 

@@ -561,12 +561,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Graph with vertex i renamed perm[i]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of range(n)")
-        return Graph(self.n, [(perm[i], perm[j]) for i, j in self.edges])
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.edges]}
 

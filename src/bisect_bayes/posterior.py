@@ -1,7 +1,10 @@
 """Posterior over canonical labelings: exact by enumeration, or MCMC.
 
-The exact table is built by scoring every canonical labeling; the sampler
-is a single-site flip Metropolis chain on the full raw cube (where the
+A labeling's log mass depends on it only through its level: its
+smaller-class size m and within-class edge count s. Both the exact table
+and the sampler read that mass from one (m, s) grid, level_log_mass, so
+the table is scored once per level, not per labeling. The sampler is a
+single-site flip Metropolis chain on the full raw cube (where the
 proposal is exactly symmetric) with canonical projection at emission.
 """
 
@@ -12,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -33,14 +36,14 @@ from .model import (
     half_cube_keys,
     label_strings,
 )
-from .priors import PriorSpec, log_mass_by_class_size, log_mass_by_popcount
+from .priors import PriorSpec, log_mass_by_class_size
 
 __all__ = [
     "PosteriorTable",
     "McmcConfig",
     "McmcResult",
     "exact_posterior",
-    "posterior_mass",
+    "level_log_mass",
     "posterior_mode",
     "mcmc_posterior",
     "within_edge_counts",
@@ -159,11 +162,6 @@ def log_sum_exp(values: np.ndarray, counts: np.ndarray | None = None) -> float:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _within_pair_counts(ms: np.ndarray, n: int) -> np.ndarray:
-    m = ms.astype(np.int64)
-    return m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
 
 
 # A ball listed in more words than 1/_BALL_SHARE of the labelings is summed
@@ -337,29 +335,11 @@ class PosteriorTable:
             end += len(found)
         return canonical_positions(keys, self.n), half_level[keys]
 
-    def labelings(self) -> Iterator[LabelVector]:
-        for w in self.words:
-            yield LabelVector(self.n, int(w))
-
-    def items(self) -> Iterator[tuple[LabelVector, float]]:
-        for k, w in enumerate(self.words):
-            yield LabelVector(self.n, int(w)), float(self.probabilities[k])
-
     def mode(self) -> LabelVector:
         """The most probable labeling; ties go to the first in index
         order, i.e. lexicographically."""
         positions, _ = self.labelings_in(self._level_prob == self._level_prob.max())
         return LabelVector(self.n, int(self.words[positions.min()]))
-
-    def select(self, predicate: Callable[[LabelVector], bool]) -> np.ndarray:
-        """Boolean mask over the table's index of the labelings satisfying
-        the predicate."""
-        return np.fromiter(
-            (predicate(th) for th in self.labelings()), dtype=bool, count=len(self)
-        )
-
-    def mass(self, predicate: Callable[[LabelVector], bool]) -> float:
-        return self.masked_mass(self.select(predicate))[1]
 
     def mass_of_class_size(self, m: int) -> float:
         return self.class_size_mass(np.arange(self.n // 2 + 1) == m)[1]
@@ -409,23 +389,14 @@ class PosteriorTable:
         ))
 
 
-def exact_posterior(
-    x: Graph, prior: PriorSpec, model: EdgeModel, cap: int = ENUMERATION_CAP
-) -> PosteriorTable:
-    """Score every canonical labeling: mass proportional to prior times
-    likelihood, normalized by a max-shifted log-sum-exp.
-
-    Prior and likelihood depend on a labeling only through its level: its
-    smaller-class size m and within-class edge count s. So the log mass is
-    evaluated once on the (n//2 + 1) x (E + 1) grid of levels, and the
-    table keeps each labeling's level: level m·(E + 1) + s.
+def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel) -> np.ndarray:
+    """Log prior times likelihood of a labeling of n vertices on a graph of
+    e edges, per level: entry [m, s] for smaller-class size m and s
+    within-class edges, on the read-only float64 (n//2 + 1) x (e + 1) grid.
     """
-    n = x.n
-    words, ms = canonical_words(n, cap)
-    e = x.num_edges
-    half_level, chunk_count = _half_cube_levels(x)
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
-    wp = _within_pair_counts(np.arange(n // 2 + 1), n)[:, np.newaxis]
+    m = np.arange(n // 2 + 1, dtype=np.int64)[:, np.newaxis]
+    wp = m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
     total_pairs = n * (n - 1) // 2
     ll = (
         we * math.log(model.p)
@@ -434,17 +405,26 @@ def exact_posterior(
         + ((total_pairs - wp) - (e - we)) * math.log1p(-model.q)
     )
     lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
-    level_log_mass = (lp + ll).ravel()
+    return _read_only(lp + ll)
+
+
+def exact_posterior(
+    x: Graph, prior: PriorSpec, model: EdgeModel, cap: int = ENUMERATION_CAP
+) -> PosteriorTable:
+    """The posterior over every canonical labeling: mass proportional to
+    prior times likelihood, normalized by a max-shifted log-sum-exp.
+
+    The log mass is read from the level_log_mass grid, and the table keeps
+    each labeling's level: level m·(E + 1) + s.
+    """
+    n = x.n
+    words, ms = canonical_words(n, cap)
+    e = x.num_edges
+    half_level, chunk_count = _half_cube_levels(x)
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
     return PosteriorTable._from_half_cube(n, words, ms, half_level, chunk_count,
-                                          level_log_mass, level_class_size)
-
-
-def posterior_mass(
-    table: PosteriorTable, predicate: Callable[[LabelVector], bool]
-) -> float:
-    """Posterior mass of the labelings satisfying the predicate."""
-    return table.mass(predicate)
+                                          level_log_mass(n, e, prior, model).ravel(),
+                                          level_class_size)
 
 
 def posterior_mode(
@@ -491,9 +471,6 @@ class McmcResult:
     class_size_probabilities: np.ndarray
     acceptance_rate: float
 
-    def sampled_words(self) -> list[int]:
-        return [s.word for s in self.samples]
-
 
 _BLOCK = 1 << 14
 
@@ -516,24 +493,12 @@ def mcmc_posterior(
     if n < 2:
         raise ValueError(f"sampler needs at least two vertices, got n={n}")
     rng = derive_rng(cfg.seed)
-    lp = np.asarray(log_mass_by_popcount(prior, n))
     masks = x.neighbor_masks
     degs = [mk.bit_count() for mk in masks]
-    e = x.num_edges
-    total_pairs = n * (n - 1) // 2
-    wtab = [m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2 for m in range(n + 1)]
-    log_p, log_1p = math.log(model.p), math.log1p(-model.p)
-    log_q, log_1q = math.log(model.q), math.log1p(-model.q)
-
-    def score(s: int, m: int) -> float:
-        within_pairs = wtab[m]
-        return (
-            s * log_p
-            + (within_pairs - s) * log_1p
-            + (e - s) * log_q
-            + ((total_pairs - within_pairs) - (e - s)) * log_1q
-            + float(lp[m])
-        )
+    # log mass by raw 1-count m and within-class edge count s: the grid's
+    # row for the canonical class size min(m, n - m)
+    rows = level_log_mass(n, x.num_edges, prior, model).tolist()
+    by_count = [rows[min(k, n - k)] for k in range(n + 1)]
 
     start_bits = rng.integers(0, 2, size=n)
     w = 0
@@ -549,7 +514,7 @@ def mcmc_posterior(
     proposals = 0
     emitted: list[int] = []
     step = 0
-    current_score = score(s, m)
+    current_score = by_count[m][s]
     while step < total_steps:
         block = min(_BLOCK, total_steps - step)
         vs = rng.integers(0, n + 1, size=block)  # n means hold
@@ -563,7 +528,7 @@ def mcmc_posterior(
                 e_same = ones if bit else degs[v] - ones
                 s_new = s + degs[v] - 2 * e_same
                 m_new = m - 1 if bit else m + 1
-                new_score = score(s_new, m_new)
+                new_score = by_count[m_new][s_new]
                 if new_score - current_score > log_us[b]:
                     w ^= 1 << v
                     s, m, current_score = s_new, m_new, new_score

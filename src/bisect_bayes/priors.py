@@ -27,7 +27,6 @@ __all__ = [
     "prior_to_string",
     "log_prior_mass",
     "log_mass_by_class_size",
-    "log_mass_by_popcount",
     "class_size_marginal",
     "g_constant",
     "prior_mass_ratio_bound",
@@ -157,22 +156,6 @@ def log_mass_by_class_size(prior: PriorSpec, n: int) -> np.ndarray:
         raise TypeError(f"unknown prior {prior!r}")
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=64)
-def log_mass_by_popcount(prior: PriorSpec, n: int) -> np.ndarray:
-    """Canonical log prior mass as a function of a raw vector's 1-count.
-
-    Entry m' gives the mass of the canonical representative of any raw
-    labeling with m' ones, i.e. the table above folded at min(m', n - m').
-    Used by the sampler, which walks the raw cube.
-    """
-    canonical = log_mass_by_class_size(prior, n)
-    folded = np.array(
-        [canonical[min(k, n - k)] for k in range(n + 1)], dtype=np.float64
-    )
-    folded.setflags(write=False)
-    return folded
 
 
 def log_prior_mass(theta: LabelVector, prior: PriorSpec) -> float:

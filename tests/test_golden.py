@@ -41,10 +41,13 @@ CAP_GRAPHS = {
     "n21-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
     "n22-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
 }
+# graphs whose posterior is also pinned as sampled by the chain
+MCMC_GRAPHS = ("n14-sharp",)
 # coverage-tied (p == q) leaves two or three large probability groups, the
-# last of them partly taken; coverage-n20 is a flat coverage near the cap
+# last of them partly taken; coverage-n20 is a flat coverage near the cap;
+# recovery-mcmc lies past the cap, so its replications run the sampler
 EXPERIMENTS = ("coverage-flat", "coverage-r2", "coverage-tied", "coverage-n20", "test-error",
-               "bound-check", "recovery", "phase-diagram")
+               "bound-check", "recovery", "recovery-mcmc", "phase-diagram")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -69,6 +72,13 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
              "--marginals-out", "{out}/marginals.csv"],
             ["posterior.csv", "marginals.csv"],
         )
+        if stem in MCMC_GRAPHS:
+            cases[f"{stem}:posterior-mcmc"] = (
+                ["posterior", *common, "--mode", "mcmc", "--seed", "7", "--burn-in", "500",
+                 "--samples", "2000", "--thin", "7", "--out", "{out}/posterior.csv",
+                 "--marginals-out", "{out}/marginals.csv"],
+                ["posterior.csv", "marginals.csv"],
+            )
         # radius 1 leaves the set as it is; radii 2 and 3 widen it
         for radius, suffix in ((1, ""), (2, "-r2"), (3, "-r3")):
             cases[f"{stem}:credible{suffix}"] = (

@@ -37,6 +37,13 @@ def flat_table(n):
     return exact_posterior(g, UNIFORM, model)
 
 
+def mask_of(table, predicate):
+    """Boolean mask over the table's index of the labelings satisfying
+    the predicate."""
+    return np.array([predicate(LabelVector(table.n, int(w))) for w in table.words],
+                    dtype=bool)
+
+
 def peaked_table(n=10, p=0.9, q=0.1, seed=3):
     theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
     model = EdgeModel(p, q)
@@ -382,44 +389,51 @@ class TestPosteriorOdds:
     def test_flat_case_counts(self):
         n = 6
         table = flat_table(n)
-        log_f = posterior_odds(table, lambda t: t.m == 0, lambda t: t.m != 0)
+        log_f = posterior_odds(table, mask_of(table, lambda t: t.m == 0),
+                               mask_of(table, lambda t: t.m != 0))
         assert log_f == pytest.approx(math.log((1 << (n - 1)) - 1), rel=1e-10)
 
     def test_antisymmetry(self):
         table, _ = peaked_table(n=8, seed=6)
-        a = lambda t: t.m == 4
-        b = lambda t: t.m < 2
+        a = mask_of(table, lambda t: t.m == 4)
+        b = mask_of(table, lambda t: t.m < 2)
         assert posterior_odds(table, a, b) == pytest.approx(
             -posterior_odds(table, b, a), rel=1e-12
         )
 
     def test_equal_masses_gives_zero(self):
         table = flat_table(5)
-        first = lambda t: t.to_string() in {"00000", "00001"}
-        second = lambda t: t.to_string() in {"00010", "00100"}
+        first = mask_of(table, lambda t: t.to_string() in {"00000", "00001"})
+        second = mask_of(table, lambda t: t.to_string() in {"00010", "00100"})
         assert posterior_odds(table, first, second) == pytest.approx(0.0, abs=1e-12)
 
     def test_overlap_rejected(self):
         table = flat_table(4)
         with pytest.raises(ValueError):
-            posterior_odds(table, lambda t: t.m <= 1, lambda t: t.m >= 1)
+            posterior_odds(table, mask_of(table, lambda t: t.m <= 1),
+                           mask_of(table, lambda t: t.m >= 1))
 
     def test_empty_null_rejected(self):
         table = flat_table(4)
         with pytest.raises(ValueError):
-            posterior_odds(table, lambda t: False, lambda t: True)
+            posterior_odds(table, mask_of(table, lambda t: False),
+                           mask_of(table, lambda t: True))
 
     def test_masks_match_predicates(self):
         table, _ = peaked_table(n=8, seed=6)
         a = lambda t: t.m == 4
         b = lambda t: t.m < 2
         by_mask = posterior_odds(table, table.class_sizes == 4, table.class_sizes < 2)
-        assert by_mask == posterior_odds(table, a, b)
+        assert by_mask == posterior_odds(table, mask_of(table, a), mask_of(table, b))
         with pytest.raises(ValueError, match="overlap"):
             posterior_odds(table, table.class_sizes >= 3, table.class_sizes <= 3)
         # an index array is not a mask
         with pytest.raises(ValueError, match="boolean mask"):
             posterior_odds(table, table.class_sizes == 4, np.flatnonzero(table.class_sizes < 2))
+        # nor is a predicate
+        with pytest.raises(ValueError, match="^a selection must be a boolean mask over the "
+                                             "table's 128 labelings$"):
+            posterior_odds(table, table.class_sizes == 4, b)
 
     def test_assortative_rejects_single_community(self):
         # Erdos-Renyi null against everything else, strongly assortative
@@ -430,7 +444,8 @@ class TestPosteriorOdds:
         reps = 200
         for seed in range(reps):
             table = exact_posterior(sample_graph(theta0, model, seed), UNIFORM, model)
-            log_f = posterior_odds(table, lambda t: t.m == 0, lambda t: t.m != 0)
+            log_f = posterior_odds(table, mask_of(table, lambda t: t.m == 0),
+                                   mask_of(table, lambda t: t.m != 0))
             if log_f > 0:
                 wins += 1
         assert wins >= 0.95 * reps
@@ -521,9 +536,10 @@ class TestClassSizeTest:
         table = exact_posterior(g, UNIFORM, model)
         log_f, mass_h0, mass_h1 = inference.class_size_odds(table, 3, m1)
         in_b = (lambda t: t.m != 3) if m1 is None else (lambda t: t.m == m1)
-        assert log_f == posterior_odds(table, lambda t: t.m == 3, in_b)
-        assert mass_h0 == table.mass(lambda t: t.m == 3)
-        assert mass_h1 == table.mass(in_b)
+        in_a = mask_of(table, lambda t: t.m == 3)
+        assert log_f == posterior_odds(table, in_a, mask_of(table, in_b))
+        assert mass_h0 == table.masked_mass(in_a)[1]
+        assert mass_h1 == table.masked_mass(mask_of(table, in_b))[1]
         result = class_size_test(g, UNIFORM, model, m0=3, m1=m1, threshold=1.0)
         assert (result.log_f, result.mass_h0, result.mass_h1) == (log_f, mass_h0, mass_h1)
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -20,9 +21,9 @@ from bisect_bayes import (
     class_size_marginal,
     enumerate_labelings,
     exact_posterior,
+    log_likelihood,
     log_prior_mass,
     mcmc_posterior,
-    posterior_mass,
     posterior_mode,
     sample_graph,
 )
@@ -36,6 +37,7 @@ from bisect_bayes.model import (
 from bisect_bayes.posterior import (
     PosteriorTable,
     _half_cube_levels,
+    level_log_mass,
     log_sum_exp,
     within_edge_counts,
 )
@@ -89,6 +91,22 @@ def oracle_graphs(n):
         Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
     ] + [sample_graph(LabelVector(n, 0), EdgeModel(p, p / 2), seed)
          for seed, p in enumerate((0.2, 0.5, 0.9))]
+
+
+def mask_of(table, predicate):
+    """Boolean mask over the table's index of the labelings satisfying
+    the predicate."""
+    return np.array([predicate(theta) for theta in labelings_of(table)], dtype=bool)
+
+
+def labelings_of(table):
+    """The table's labelings, in index order."""
+    return [LabelVector(table.n, int(w)) for w in table.words]
+
+
+def relabel(graph, perm):
+    """The graph with vertex i renamed perm[i]."""
+    return Graph(graph.n, [(perm[i], perm[j]) for i, j in graph.edges])
 
 
 def per_labeling_log_mass(x, prior, model):
@@ -217,7 +235,7 @@ class TestExactPosterior:
         g = sample_graph(LabelVector.from_string("000111"), model, 2)
         for prior in [UNIFORM, BetaBernoulli(2.0, 1.0), UniformClassSize()]:
             table = exact_posterior(g, prior, model)
-            for theta, prob in table.items():
+            for theta, prob in zip(labelings_of(table), table.probabilities.tolist()):
                 assert prob == pytest.approx(
                     math.exp(log_prior_mass(theta, prior)), rel=1e-10
                 )
@@ -283,13 +301,13 @@ class TestExactPosterior:
     def test_lookup_finds_every_labeling(self, n):
         model = EdgeModel(0.7, 0.2)
         table = exact_posterior(sample_graph(LabelVector(n, 0), model, n), UNIFORM, model)
-        for k, theta in enumerate(table.labelings()):
+        for k, theta in enumerate(labelings_of(table)):
             assert table._lookup(theta) == k
 
     @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
     def test_point_lookup_reads_key_order_levels(self, kind):
         table = reduction_tables()[kind]
-        thetas = list(table.labelings())
+        thetas = labelings_of(table)
         got = [table.probability(theta) for theta in thetas]
         assert "level" not in vars(table)
         assert got == [table.probabilities[canonical_index(theta)] for theta in thetas]
@@ -326,7 +344,7 @@ class TestExactPosterior:
         rng = np.random.default_rng(4)
         for _ in range(5):
             perm = rng.permutation(7).tolist()
-            relabeled = g.relabel(perm)
+            relabeled = relabel(g, perm)
             bits = [0] * 7
             for i, b in enumerate(theta0.bits):
                 bits[perm[i]] = b
@@ -489,7 +507,8 @@ class TestPosteriorMass:
         return exact_posterior(sample_graph(theta0, model, 3), UNIFORM, model)
 
     def test_everything_is_one(self, table):
-        assert posterior_mass(table, lambda t: True) == pytest.approx(1.0, abs=1e-10)
+        everything = mask_of(table, lambda t: True)
+        assert table.masked_mass(everything)[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_full_ball_is_one(self, table):
         center = LabelVector.from_string("00001111")
@@ -500,7 +519,7 @@ class TestPosteriorMass:
 
         center = LabelVector.from_string("00011011")
         for k in range(1, 5):
-            direct = posterior_mass(table, lambda t: sym_distance(t, center) < k)
+            direct = table.masked_mass(mask_of(table, lambda t: sym_distance(t, center) < k))[1]
             assert table.mass_of_ball(center, k) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -528,7 +547,7 @@ class TestPosteriorMass:
         assert not {"level", "probabilities", "log_unnormalized"} & set(vars(table))
 
     def test_class_size_predicate(self, table):
-        direct = posterior_mass(table, lambda t: t.m == 2)
+        direct = table.masked_mass(mask_of(table, lambda t: t.m == 2))[1]
         assert table.mass_of_class_size(2) == pytest.approx(direct, abs=1e-12)
 
     def test_empty_class_unlikely_on_assortative_graphs(self):
@@ -700,7 +719,7 @@ class TestMcmc:
         g = sample_graph(theta0, model, 21)
         cfg = McmcConfig(burn_in=2000, samples=150_000, thin=1, seed=5)
         result = mcmc_posterior(g, UNIFORM, model, cfg)
-        words = result.sampled_words()
+        words = [s.word for s in result.samples]
         trans = Counter(zip(words[:-1], words[1:]))
         checked = 0
         for (a, b), n_ab in trans.items():
@@ -713,3 +732,39 @@ class TestMcmc:
             assert abs(n_ab - n_ba) <= 5.0 * math.sqrt(total)
             checked += 1
         assert checked > 10
+
+    @pytest.mark.parametrize("n, prior, p, q, digest", [
+        (20, UniformClassSize(), 0.5, 0.4,
+         "9ceceb886749fa86ff7900d7d153049123b6ba65900e2c702ba45b7170bf727f"),
+        (40, BetaBernoulli(2.0, 1.0), 0.55, 0.45,
+         "d4423e22d414db691a105e2c68c65ef242ca52a21a0c5277d3e22674f7335f0a"),
+    ])
+    def test_sampled_words_are_pinned(self, n, prior, p, q, digest):
+        # the sha256 of a fixed-seed chain's words, in emission order
+        model = EdgeModel(p, q)
+        g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), model, n)
+        cfg = McmcConfig(burn_in=1000, samples=2000, thin=5, seed=n)
+        words = [s.word for s in mcmc_posterior(g, prior, model, cfg).samples]
+        assert hashlib.sha256(" ".join(map(str, words)).encode()).hexdigest() == digest
+
+
+class TestLevelLogMass:
+    @pytest.mark.parametrize("n", [9, 20, 40, 64, 80])
+    @pytest.mark.parametrize("prior", [FixedBernoulli(0.3), BetaBernoulli(1.5, 2.5),
+                                       UniformClassSize()])
+    def test_equals_per_labeling_reference(self, n, prior):
+        # bit for bit, on labelings of every class size; past n = 63 the
+        # reference counts edges on Python ints
+        rng = np.random.default_rng(n)
+        for model in (EdgeModel(0.7, 0.2), EdgeModel(0.5, 0.45)):
+            g = sample_graph(canonicalize([v < n // 3 for v in range(n)]), model, n)
+            grid = level_log_mass(n, g.num_edges, prior, model)
+            assert grid.dtype == np.float64 and not grid.flags.writeable
+            assert grid.shape == (n // 2 + 1, g.num_edges + 1)
+            for _ in range(40):
+                ones = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                theta = canonicalize(np.isin(np.arange(n), ones).tolist())
+                bits = theta.bits
+                s = sum(bits[i] == bits[j] for i, j in g.edges)
+                reference = log_prior_mass(theta, prior) + log_likelihood(theta, g, model)
+                assert grid[theta.m, s] == reference
