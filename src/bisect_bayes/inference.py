@@ -38,20 +38,12 @@ __all__ = [
 
 
 class _LabelingSet:
-    """A set of canonical labelings on ``n`` vertices. ``theta in S`` is
-    answered by ``_holds`` until the read-only boolean ``mask`` over
-    canonical_words(n) exists; the mask is built when first read."""
+    """A set of canonical labelings on ``n`` vertices, given by a rule.
+    ``theta in S`` is answered by the rule (``_holds``) until the read-only
+    boolean ``mask`` over canonical_words(n) has been read; the rule builds
+    the mask (``_build_mask``) when it is first read."""
 
     n: int
-
-    def _keep_mask(self, mask: np.ndarray) -> None:
-        """Check a given mask's type and length, make it read-only and keep
-        it as the set's mask."""
-        if mask.dtype != bool or mask.shape != (1 << (self.n - 1),):
-            raise ValueError(f"mask must be a boolean array over the "
-                             f"{1 << (self.n - 1)} canonical labelings")
-        mask.setflags(write=False)
-        self.mask = mask
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -132,32 +124,17 @@ class _HpdRule:
 
 
 class CredibleSet(_LabelingSet):
-    """Set of labelings with posterior mass at least 1 - gamma.
-
-    Built from a boolean ``mask`` over canonical_words(n), or by
-    hpd_credible_set from its selection rule, which answers membership
-    from the table's levels and builds the mask only when it is read.
+    """An HPD set of labelings with posterior mass at least 1 - gamma, as
+    built by hpd_credible_set: its selection rule answers membership from
+    the table's levels, and builds the mask only when it is read.
     """
 
-    def __init__(self, n: int, mask: np.ndarray, gamma: float,
-                 achieved_mass: float):
-        self.n = n
-        self._keep_mask(mask)
-        self._check(gamma, achieved_mass, bool(mask.any()))
-
-    @classmethod
-    def _from_rule(cls, rule: _HpdRule, gamma: float,
-                   achieved_mass: float) -> "CredibleSet":
-        credible = cls.__new__(cls)
-        credible.n = rule.table.n
-        credible._rule = rule
-        credible._check(gamma, achieved_mass, rule.above + rule.taken > 0)
-        return credible
-
-    def _check(self, gamma: float, achieved_mass: float, nonempty: bool) -> None:
+    def __init__(self, rule: _HpdRule, gamma: float, achieved_mass: float):
+        self.n = rule.table.n
+        self._rule = rule
         self.gamma = gamma
         self.achieved_mass = achieved_mass
-        if not nonempty:
+        if rule.above + rule.taken == 0:
             raise ValueError("credible set must be nonempty")
         if not (0.0 < gamma < 1.0):
             raise ValueError(f"gamma={gamma} must lie in (0, 1)")
@@ -182,25 +159,17 @@ class CredibleSet(_LabelingSet):
 class EnlargedSet(_LabelingSet):
     """A credible set widened by a distance radius, for frequentist coverage:
     every labeling within complement-folded distance < radius of a member,
-    together with the set itself.
-
-    Given a ``mask``, the set is that mask, which must contain the base's.
-    Without one, membership of theta is read from the base at the
-    labelings of theta's ball (model.ball_keys), and the mask is built by
-    dilation when read.
+    together with the set itself. Membership of theta is read from the
+    base at the labelings of theta's ball (model.ball_keys), and the mask
+    is built by dilation when read.
     """
 
-    def __init__(self, base: CredibleSet, radius: int,
-                 mask: Optional[np.ndarray] = None):
+    def __init__(self, base: CredibleSet, radius: int):
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         self.base = base
         self.radius = radius
         self.n = base.n
-        if mask is not None:
-            self._keep_mask(mask)
-            if (base.mask & ~mask).any():
-                raise ValueError("enlargement must contain its base")
 
     def _holds(self, theta: LabelVector) -> bool:
         if self.radius <= 1:
@@ -280,7 +249,7 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     rule, mass = _greedy(table, values[:cut + 1], sizes[:cut + 1], target)
     if mass < target and cut + 1 < len(values):
         rule, mass = _greedy(table, values, sizes, target)
-    return CredibleSet._from_rule(rule, gamma, mass)
+    return CredibleSet(rule, gamma, mass)
 
 
 def _probability_groups(table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,6 @@ __all__ = [
     "canonical_order",
     "half_cube_key",
     "half_cube_keys",
-    "half_cube_class_sizes",
     "canonical_index",
     "canonical_positions",
     "ball_size",
@@ -179,7 +178,7 @@ def _bit_reverse(u: np.ndarray, n: int) -> np.ndarray:
     return v >> np.uint32(32 - n)
 
 
-def canonical_words(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
+def canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All canonical label words for n vertices, in lexicographic bit order.
 
     Returns (words, m) where words[k] packs the k-th labeling (bit i =
@@ -187,8 +186,8 @@ def canonical_words(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     return _canonical_words(n)
 
 
@@ -207,16 +206,6 @@ def _half_split(n: int) -> np.ndarray:
     low = 2 * np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)) <= n
     low.setflags(write=False)
     return low
-
-
-@lru_cache(maxsize=8)
-def half_cube_class_sizes(n: int) -> np.ndarray:
-    """Per half-cube key h, in key order: the smaller-class size of its
-    labeling, min(popcount(h), n - popcount(h)). uint8, read-only, cached."""
-    m = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32))
-    np.minimum(m, np.uint8(n) - m, out=m)
-    m.setflags(write=False)
-    return m
 
 
 def canonical_order(values: np.ndarray, n: int) -> np.ndarray:
@@ -238,7 +227,8 @@ def _canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
         np.bitwise_or(rev[:half], np.uint32(1 << (n - 1 - b)), out=rev[half:2 * half])
     words = canonical_order(rev, n)
     words[np.count_nonzero(_half_split(n)):] ^= np.uint32((1 << n) - 1)
-    mm = canonical_order(half_cube_class_sizes(n), n)
+    # a canonical word's popcount is its smaller-class size
+    mm = np.bitwise_count(words)
     words.setflags(write=False)
     mm.setflags(write=False)
     return words, mm
@@ -365,15 +355,13 @@ def num_labelings(n: int, m: int | None = None) -> int:
     return math.comb(n, m)
 
 
-def enumerate_labelings(
-    n: int, m: int | None = None, cap: int = ENUMERATION_CAP
-) -> Iterator[LabelVector]:
+def enumerate_labelings(n: int, m: int | None = None) -> Iterator[LabelVector]:
     """Yield every canonical labeling once, in lexicographic bit order.
 
     ``m`` restricts to a single smaller-class size. Rejects n above the
     enumeration cap as a resource guard.
     """
-    words, ms = canonical_words(n, cap)
+    words, ms = canonical_words(n)
     if m is not None:
         words = words[ms == m]
     for w in words:

@@ -20,13 +20,11 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .model import (
-    ENUMERATION_CAP,
     EdgeModel,
     Graph,
     LabelVector,
     ball_keys,
     ball_size,
-    canonical_index,
     canonical_order,
     canonical_positions,
     canonical_words,
@@ -173,67 +171,35 @@ _BALL_SHARE = 8
 
 
 class PosteriorTable:
-    """Exact normalized posterior over all canonical labelings.
+    """Exact normalized posterior over all canonical labelings, as built by
+    exact_posterior.
 
-    Stores packed words in lexicographic bit order. Labelings fall into
-    levels that share one class size and one log mass; for an exact
-    posterior a level is a pair (m, s) of smaller-class size and
-    within-class edge count. The table keeps per level its log mass,
-    probability, class size and labeling count, and reports the mass of a
-    set of labelings as a count-weighted sum over levels (see masked_mass).
-    The per-labeling arrays ``level``, ``log_unnormalized`` and
-    ``probabilities`` are built only when first read. Immutable after
-    construction.
+    Labelings fall into levels that share one class size and one log mass;
+    exact_posterior makes a level of each pair (m, s) of smaller-class size
+    and within-class edge count. The table keeps each half-cube key's level in key order, per chunk of
+    keys how many of its labelings each level holds, and per level its log
+    mass, probability, class size and labeling count. It reports the mass
+    of a set of labelings as a count-weighted sum over levels (see
+    masked_mass). The canonical ``level`` and the per-labeling arrays
+    ``log_unnormalized`` and ``probabilities`` are built only when first
+    read. Immutable after construction.
     """
 
     def __init__(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                 log_unnormalized: np.ndarray | None,
-                 levels: tuple[np.ndarray, np.ndarray] | None = None):
-        """``levels`` is (level, level_log_mass), with log_unnormalized equal
-        to level_log_mass[level] and each level holding one class size;
-        given it, log_unnormalized may be None. Without it every distinct
-        pair of class size and log_unnormalized value is a level."""
-        if levels is None:
-            pairs, level = np.unique(np.column_stack((class_sizes, log_unnormalized)),
-                                     axis=0, return_inverse=True)
-            levels = level.reshape(-1), pairs[:, 1]
-        level, level_log_mass = levels
-        level = _read_only(np.array(level, dtype=np.intp))
-        level_class_size = np.zeros(len(level_log_mass), dtype=class_sizes.dtype)
-        level_class_size[level] = class_sizes
-        if not np.array_equal(level_class_size[level], class_sizes):
-            raise ValueError("each level must hold labelings of one class size")
-        self.level = level
-        if log_unnormalized is not None:
-            self.log_unnormalized = log_unnormalized
-        self._set_levels(n, words, class_sizes, level_log_mass, level_class_size,
-                         np.bincount(level, minlength=len(level_log_mass)))
-
-    @classmethod
-    def _from_half_cube(cls, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                        half_level: np.ndarray, chunk_count: np.ndarray,
-                        level_log_mass: np.ndarray,
-                        level_class_size: np.ndarray) -> "PosteriorTable":
-        """The table over canonical_words(n) whose labeling with half-cube
-        key h lies in level half_level[h], chunk_count[c, i] of the keys in
-        chunk c (keys c·2^L to (c + 1)·2^L − 1) lying in level i. The level
-        counts are its column sums (at most 2^(n-1), summed in uint32); the
-        canonical ``level`` is built only when read."""
-        table = cls.__new__(cls)
-        table._half_level = half_level
-        table._chunk_count = chunk_count
-        level_count = chunk_count.sum(axis=0, dtype=np.uint32).astype(np.int64)
-        table._set_levels(n, words, class_sizes, level_log_mass, level_class_size,
-                          level_count)
-        return table
-
-    def _set_levels(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                    level_log_mass: np.ndarray, level_class_size: np.ndarray,
-                    level_count: np.ndarray) -> None:
+                 half_level: np.ndarray, chunk_count: np.ndarray,
+                 level_log_mass: np.ndarray, level_class_size: np.ndarray):
+        """The table over canonical_words(n), ``words`` with class sizes
+        ``class_sizes``, whose labeling with half-cube key h lies in level
+        half_level[h], chunk_count[c, i] of the keys in chunk c (keys
+        c·2^L to (c + 1)·2^L − 1) lying in level i. The level counts are its
+        column sums (at most 2^(n-1), summed in uint32)."""
         self.n = n
         self.words = words
         self.class_sizes = class_sizes
+        self._half_level = half_level
+        self._chunk_count = chunk_count
         self._level_class_size = level_class_size
+        level_count = chunk_count.sum(axis=0, dtype=np.uint32).astype(np.int64)
         self._level_count = level_count
         # a level no labeling reaches may lie far above the normalizer; it
         # gets no mass, so that exp neither overflows nor warns on it
@@ -284,41 +250,26 @@ class PosteriorTable:
     def __len__(self) -> int:
         return len(self.words)
 
-    def _lookup(self, theta: LabelVector) -> int:
-        if theta.n != self.n:
-            raise ValueError(f"vertex counts differ: {theta.n} vs {self.n}")
-        k = canonical_index(theta)
-        if k >= len(self.words) or int(self.words[k]) != theta.word:
-            raise KeyError(theta)
-        return k
-
     def level_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Per level: the probability of each of its labelings, and how
         many labelings it holds (both 0 for levels no labeling reaches)."""
         return self._level_prob, self._level_count
 
     def probability(self, theta: LabelVector) -> float:
-        if hasattr(self, "_half_level") and theta.n == self.n:
-            return float(self._level_prob[self._half_level[half_cube_key(theta)]])
-        return float(self._level_prob[self.level[self._lookup(theta)]])
+        if theta.n != self.n:
+            raise ValueError(f"vertex counts differ: {theta.n} vs {self.n}")
+        return float(self._level_prob[self._half_level[half_cube_key(theta)]])
 
     def levels_at(self, keys: np.ndarray) -> np.ndarray:
         """The level of the labeling with each half-cube key (intp keys
-        below 2^(n-1)); an exact table reads its key-order levels and
-        builds no ``level``."""
-        if not hasattr(self, "_half_level"):  # a table from the constructor
-            return self.level[canonical_positions(keys, self.n)]
+        below 2^(n-1)), read from the key-order levels."""
         return self._half_level[keys]
 
     def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a boolean mask over the levels: the index positions of the
         labelings in the levels it selects, in no set order, and the level
-        of each. An exact table reads its key-order levels only in the
-        chunks whose histogram holds a selected level, and builds no
-        ``level``."""
-        if not hasattr(self, "_half_level"):  # a table from the constructor
-            positions = np.flatnonzero(levels[self.level])
-            return positions, self.level[positions]
+        of each. The key-order levels are read only in the chunks whose
+        histogram holds a selected level, and no ``level`` is built."""
         half_level = self._half_level
         size = min(len(half_level), 1 << _CHUNK_BITS)
         held = self._chunk_count.compress(levels, axis=1).sum(axis=1, dtype=np.intp)
@@ -408,9 +359,7 @@ def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel) -> np.nda
     return _read_only(lp + ll)
 
 
-def exact_posterior(
-    x: Graph, prior: PriorSpec, model: EdgeModel, cap: int = ENUMERATION_CAP
-) -> PosteriorTable:
+def exact_posterior(x: Graph, prior: PriorSpec, model: EdgeModel) -> PosteriorTable:
     """The posterior over every canonical labeling: mass proportional to
     prior times likelihood, normalized by a max-shifted log-sum-exp.
 
@@ -418,26 +367,18 @@ def exact_posterior(
     each labeling's level: level m·(E + 1) + s.
     """
     n = x.n
-    words, ms = canonical_words(n, cap)
+    words, ms = canonical_words(n)
     e = x.num_edges
     half_level, chunk_count = _half_cube_levels(x)
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
-    return PosteriorTable._from_half_cube(n, words, ms, half_level, chunk_count,
-                                          level_log_mass(n, e, prior, model).ravel(),
-                                          level_class_size)
+    return PosteriorTable(n, words, ms, half_level, chunk_count,
+                          level_log_mass(n, e, prior, model).ravel(), level_class_size)
 
 
-def posterior_mode(
-    source: PosteriorTable | Iterable[LabelVector],
-) -> LabelVector:
-    """Highest-mass labeling; ties broken lexicographically.
-
-    Accepts an exact table or a stream of samples (where mass means
-    empirical frequency).
-    """
-    if isinstance(source, PosteriorTable):
-        return source.mode()
-    counts = Counter(source)
+def posterior_mode(samples: Iterable[LabelVector]) -> LabelVector:
+    """The most frequent labeling in a stream of samples; ties broken
+    lexicographically. The exact mode is PosteriorTable.mode()."""
+    counts = Counter(samples)
     if not counts:
         raise ValueError("empty sample stream")
     best = max(counts.items(), key=lambda kv: (kv[1], tuple(-b for b in kv[0].bits)))

@@ -1,0 +1,31 @@
+"""Posterior tables built from per-labeling masses, for tests."""
+
+import numpy as np
+
+from bisect_bayes.model import _half_split, canonical_words
+from bisect_bayes.posterior import _CHUNK_BITS, PosteriorTable
+
+
+def table_from_masses(n, log_unnormalized):
+    """The table over canonical_words(n) whose labelings carry the given
+    log unnormalized masses, in index order: every distinct pair of class
+    size and mass is a level.
+
+    The canonical levels are scattered back to half-cube key order, the
+    inverse of model.canonical_order: the low keys take the first levels
+    in order, the high keys the rest in reverse. Each chunk of 2^14 keys
+    is counted into its own histogram row.
+    """
+    words, class_sizes = canonical_words(n)
+    pairs, level = np.unique(np.column_stack((class_sizes, log_unnormalized)),
+                             axis=0, return_inverse=True)
+    level = level.reshape(-1)
+    low = _half_split(n)
+    half_level = np.empty(len(low), dtype=np.intp)
+    half_level[low] = level[:np.count_nonzero(low)]
+    half_level[~low] = level[np.count_nonzero(low):][::-1]
+    size = min(1 << _CHUNK_BITS, len(low))
+    chunk_count = np.array([np.bincount(half_level[start:start + size], minlength=len(pairs))
+                            for start in range(0, len(low), size)], dtype=np.uint16)
+    return PosteriorTable(n, words, class_sizes, half_level, chunk_count,
+                          pairs[:, 1], pairs[:, 0].astype(class_sizes.dtype))

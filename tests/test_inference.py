@@ -27,6 +27,7 @@ from bisect_bayes import (
 )
 from bisect_bayes import inference
 from bisect_bayes.model import canonical_index
+from table_helpers import table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -105,9 +106,8 @@ def hpd_table(case):
     if case in ("sharp", "unleveled"):
         table, _ = peaked_table(n=12, p=0.7, q=0.2, seed=5)
         if case == "unleveled":
-            # built without levels: every distinct mass is its own level
-            table = PosteriorTable(table.n, table.words, table.class_sizes,
-                                   table.log_unnormalized)
+            # every distinct (class size, mass) is its own level
+            table = table_from_masses(table.n, table.log_unnormalized)
         return table
     if case == "sharp18":
         # the half cube spans eight chunks of 2^14 keys, not all of which
@@ -156,13 +156,11 @@ class TestHpdMatchesFullSort:
             hpd = hpd_credible_set(table, gamma)
             # the mask is built when first read, and not before
             assert not scattered
-            if case != "unleveled":
-                assert "level" not in vars(table)
+            assert "level" not in vars(table)
             assert hpd.mask.any()
         assert bool(scattered) == ((case, gamma) not in GATHERED)
-        if case != "unleveled":
-            # an exact table builds the canonical level only to gather
-            assert ("level" in vars(table)) == ((case, gamma) in GATHERED)
+        # the canonical level is built only to gather
+        assert ("level" in vars(table)) == ((case, gamma) in GATHERED)
         members, mass = full_sort_hpd(table, gamma)
         assert hpd.members == members
         assert hpd.achieved_mass == mass
@@ -283,27 +281,39 @@ class TestMaskSets:
                 assert (theta in s) == (theta in s.members)
             assert LabelVector(8, 0) not in s
 
-    def test_enlargement_must_contain_its_base(self):
-        hpd = sharp_or_flat_hpd("sharp", 8)
-        smaller = hpd.mask.copy()
-        smaller[np.flatnonzero(smaller)[0]] = False
-        with pytest.raises(ValueError, match="contain its base"):
-            EnlargedSet(base=hpd, radius=2, mask=smaller)
+    @pytest.mark.parametrize("kind", ["sharp", "flat"])
+    @pytest.mark.parametrize("n", [2, 5, 8, 11])
+    def test_enlargement_contains_its_base(self, kind, n):
+        hpd = sharp_or_flat_hpd(kind, n)
+        for radius in range(n + 2):
+            assert not (hpd.mask & ~enlarge(hpd, radius).mask).any()
 
     def test_negative_radius_rejected(self):
         hpd = sharp_or_flat_hpd("sharp", 8)
         with pytest.raises(ValueError, match="nonnegative"):
-            EnlargedSet(base=hpd, radius=-1, mask=hpd.mask)
+            EnlargedSet(base=hpd, radius=-1)
         with pytest.raises(ValueError, match="nonnegative"):
             enlarge(hpd, -1)
 
-    def test_mask_must_span_the_index(self):
-        for mask in (np.ones(64, dtype=bool), np.ones(128, dtype=np.uint8)):
-            with pytest.raises(ValueError, match="boolean array"):
-                CredibleSet(n=8, mask=mask, gamma=0.05, achieved_mass=1.0)
+    @pytest.mark.parametrize("kind", ["sharp", "flat"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+    def test_rule_built_masks_span_the_index(self, kind, n):
+        hpd = sharp_or_flat_hpd(kind, n)
+        for s in (hpd, enlarge(hpd, 2)):
+            assert s.mask.dtype == bool and s.mask.shape == (1 << (n - 1),)
+            assert not s.mask.flags.writeable
+
+    def test_set_checks(self):
+        rule = sharp_or_flat_hpd("sharp", 8)._rule
+        empty = inference._HpdRule(rule.table, cutoff=rule.cutoff, above=0,
+                                   tied=rule.tied, taken=0)
         with pytest.raises(ValueError, match="nonempty"):
-            CredibleSet(n=8, mask=np.zeros(128, dtype=bool), gamma=0.05,
-                        achieved_mass=1.0)
+            CredibleSet(empty, gamma=0.05, achieved_mass=1.0)
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError, match="must lie in"):
+                CredibleSet(rule, gamma=gamma, achieved_mass=1.0)
+        with pytest.raises(ValueError, match="below credible level"):
+            CredibleSet(rule, gamma=0.05, achieved_mass=0.9)
 
 
 def membership_table(kind, n):
@@ -337,7 +347,8 @@ class TestMembershipWithoutMasks:
                 assert got == [bool(s.mask[canonical_index(t)]) for t in thetas]
 
     def test_table_from_the_constructor(self, monkeypatch):
-        # its levels are read through the canonical level, not by key
+        # a table whose levels are every distinct (class size, mass), not
+        # (m, s): membership, masks and balls read them by key all the same
         monkeypatch.setattr(inference, "_BALL_SHARE", 0)
         table = hpd_table("unleveled")
         thetas = list(enumerate_labelings(table.n))

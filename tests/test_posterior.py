@@ -35,13 +35,13 @@ from bisect_bayes.model import (
     canonical_words,
 )
 from bisect_bayes.posterior import (
-    PosteriorTable,
     _half_cube_levels,
     level_log_mass,
     log_sum_exp,
     within_edge_counts,
 )
 from bisect_bayes.priors import log_mass_by_class_size
+from table_helpers import table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -299,10 +299,10 @@ class TestExactPosterior:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_lookup_finds_every_labeling(self, n):
-        model = EdgeModel(0.7, 0.2)
-        table = exact_posterior(sample_graph(LabelVector(n, 0), model, n), UNIFORM, model)
-        for k, theta in enumerate(labelings_of(table)):
-            assert table._lookup(theta) == k
+        words, _ = canonical_words(n)
+        for k, theta in enumerate(enumerate_labelings(n)):
+            assert canonical_index(theta) == k
+            assert words[k] == theta.word
 
     @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
     def test_point_lookup_reads_key_order_levels(self, kind):
@@ -317,18 +317,18 @@ class TestExactPosterior:
         table = exact_posterior(Graph(10, [(0, 1), (2, 3)]), UNIFORM, EdgeModel(0.6, 0.3))
         assert table.class_sizes is canonical_words(10)[1]
 
-    def test_levels_mixing_class_sizes_rejected(self):
-        table = exact_posterior(Graph(4, [(0, 1)]), UNIFORM, EdgeModel(0.6, 0.3))
-        with pytest.raises(ValueError, match="one class size"):
-            PosteriorTable(4, table.words, table.class_sizes, None,
-                           levels=(np.zeros(len(table), dtype=np.intp), np.zeros(1)))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_each_level_holds_one_class_size(self, n):
+        model = EdgeModel(0.7, 0.2)
+        for g in oracle_graphs(n):
+            table = exact_posterior(g, UNIFORM, model)
+            assert np.array_equal(table._level_class_size[table.level], table.class_sizes)
 
-    def test_lookup_rejects_labeling_not_in_table(self):
+    def test_lookup_rejects_other_vertex_count(self):
         table = exact_posterior(Graph(4, [(0, 1)]), UNIFORM, EdgeModel(0.6, 0.3))
-        partial = PosteriorTable(4, table.words[:3], table.class_sizes[:3],
-                                 table.log_unnormalized[:3])
-        with pytest.raises(KeyError):
-            partial.probability(LabelVector.from_string("0011"))
+        for theta in (LabelVector.from_string("001"), LabelVector.from_string("00011")):
+            with pytest.raises(ValueError, match="vertex counts differ"):
+                table.probability(theta)
 
     def test_cap_guard(self):
         with pytest.raises(ValueError):
@@ -428,9 +428,8 @@ class TestMaskedMass:
     def test_class_size_masses_match_per_labeling_sums(self):
         tables = list(reduction_tables().values())
         tied = tables[2]
-        # built without levels: each distinct (class size, mass) is a level
-        tables.append(PosteriorTable(tied.n, tied.words, tied.class_sizes,
-                                     tied.log_unnormalized))
+        # each distinct (class size, mass) is a level
+        tables.append(table_from_masses(tied.n, tied.log_unnormalized))
         for table in tables:
             for m in range(table.n // 2 + 1):
                 mask = table.class_sizes == m
@@ -615,9 +614,7 @@ class TestPosteriorMode:
         model = EdgeModel(0.8, 0.3)
         g = sample_graph(LabelVector.from_string("000111"), model, 5)
         table = exact_posterior(g, UNIFORM, model)
-        scaled = PosteriorTable(
-            table.n, table.words, table.class_sizes, table.log_unnormalized + 123.45
-        )
+        scaled = table_from_masses(table.n, table.log_unnormalized + 123.45)
         assert scaled.mode() == table.mode()
         assert np.allclose(scaled.probabilities, table.probabilities, atol=1e-12)
 
