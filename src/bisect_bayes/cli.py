@@ -235,10 +235,10 @@ def _cmd_credible(args) -> int:
     graph = _read_graph(args.graph)
     table = exact_posterior(graph, prior, model)
     hpd = hpd_credible_set(table, args.gamma)
-    mask = enlarge(hpd, args.enlarge).mask
+    words = enlarge(hpd, args.enlarge).member_words()
     payload = {
         # index order is lexicographic
-        "members": label_strings(table.words[mask], table.n),
+        "members": label_strings(words, table.n),
         "achieved_mass": hpd.achieved_mass,
         "gamma": args.gamma,
         "radius": args.enlarge,

@@ -19,6 +19,7 @@ from .model import (
     canonical_index,
     canonical_positions,
     canonical_words,
+    half_cube_words,
 )
 from .posterior import PosteriorTable, exact_posterior
 from .priors import PriorSpec
@@ -58,10 +59,14 @@ class _LabelingSet:
             return bool(self.mask[canonical_index(theta)])
         return self._holds(theta)
 
+    def member_words(self) -> np.ndarray:
+        """The members' packed words (uint32), in index order."""
+        words, _ = canonical_words(self.n)
+        return words[self.mask]
+
     @cached_property
     def members(self) -> frozenset[LabelVector]:
-        words, _ = canonical_words(self.n)
-        return frozenset(LabelVector(self.n, int(w)) for w in words[self.mask])
+        return frozenset(LabelVector(self.n, w) for w in self.member_words().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +88,29 @@ class _HpdRule:
         if self.taken == self.tied:
             return len(self.table)
         prob = self.table.level_masses()[0]
-        positions, _ = self.table.labelings_in(prob == self.cutoff)
+        keys, _ = self.table.labelings_in(prob == self.cutoff)
+        positions = canonical_positions(keys, self.table.n)
         return int(np.partition(positions, self.taken - 1)[self.taken - 1])
+
+    @property
+    def small(self) -> bool:
+        """Whether the groups taken from hold at most 1/_SMALL_SET of the
+        labelings, so that the set is listed from the key-order levels."""
+        return _SMALL_SET * (self.above + self.tied) <= len(self.table)
+
+    def listed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The half-cube keys of the labelings taken and their index
+        positions, both in index order: every labeling of the groups taken
+        from, less the tied ones after the first ``taken``."""
+        table = self.table
+        prob = table.level_masses()[0]
+        keys, level = table.labelings_in(prob >= self.cutoff)
+        positions = canonical_positions(keys, table.n)
+        order = np.argsort(positions)
+        keep = np.ones(len(order), dtype=bool)
+        keep[np.flatnonzero(prob[level[order]] == self.cutoff)[self.taken:]] = False
+        order = order[keep]
+        return keys[order], positions[order]
 
     def holds(self, theta: LabelVector) -> bool:
         p = self.table.probability(theta)
@@ -102,19 +128,15 @@ class _HpdRule:
     def mask(self) -> np.ndarray:
         """The labelings taken, as a boolean mask over the index.
 
-        When they hold at most 1/_SMALL_SET of the labelings, their
-        positions are found from the levels and scattered into an empty
-        mask; otherwise the mask is gathered through the canonical level
-        of every labeling.
+        A small set's positions are listed (see ``listed``) and scattered
+        into an empty mask; otherwise the mask is gathered through the
+        canonical level of every labeling.
         """
         table = self.table
         prob = table.level_masses()[0]
-        if _SMALL_SET * (self.above + self.tied) <= len(table):
-            positions, level = table.labelings_in(prob >= self.cutoff)
-            tied = prob[level] == self.cutoff
+        if self.small:
             mask = np.zeros(len(table), dtype=bool)
-            mask[positions[~tied]] = True
-            mask[np.sort(positions[tied])[:self.taken]] = True
+            mask[self.listed()[1]] = True
         else:
             mask = (prob >= self.cutoff)[table.level]
             if self.taken < self.tied:
@@ -155,6 +177,13 @@ class CredibleSet(_LabelingSet):
     def _build_mask(self) -> np.ndarray:
         return self._rule.mask()
 
+    def member_words(self) -> np.ndarray:
+        """The members' packed words, in index order; a small set's are
+        converted from its listed keys, and no index is built."""
+        if self._rule.small:
+            return half_cube_words(self._rule.listed()[0], self.n)
+        return super().member_words()
+
 
 class EnlargedSet(_LabelingSet):
     """A credible set widened by a distance radius, for frequentist coverage:
@@ -177,9 +206,14 @@ class EnlargedSet(_LabelingSet):
         if self.radius > self.n // 2:
             # no folded distance exceeds n // 2, so the ball is everything
             return True
-        if _BALL_SHARE * ball_size(self.n, self.radius) > 1 << (self.n - 1):
+        if _BALL_MEMBERSHIP_SHARE * ball_size(self.n, self.radius) > 1 << (self.n - 1):
             return bool(self.mask[canonical_index(theta)])
         return bool(self.base._holds_keys(ball_keys(theta, self.radius)).any())
+
+    def member_words(self) -> np.ndarray:
+        if self.radius <= 1:
+            return self.base.member_words()
+        return super().member_words()
 
     def _build_mask(self) -> np.ndarray:
         """The members and their complements are marked on the raw cube of
@@ -208,20 +242,23 @@ class EnlargedSet(_LabelingSet):
 
 
 # A credible set whose probability groups hold at most one labeling in
-# _SMALL_SET is found from the key-order levels; a larger one is gathered
-# through the canonical level of every labeling, a cheaper pass per member.
+# _SMALL_SET is listed from the key-order levels, its mask scattered from
+# the list and its member words converted from its keys; a larger one is
+# gathered through the canonical level of every labeling, a cheaper pass
+# per member, and its words are read from the canonical index.
 # Timed on flat graphs, the scatter is the faster below a share of about
 # 1/10 at n = 18 and 22, and within about 10% of the gather up to 1/32 at
 # n = 14; at a share of 3/4 (coverage-flat) the gather takes half the time.
 _SMALL_SET = 32
 
 # An enlargement answers membership from theta's ball while the ball is
-# listed in at most 1/_BALL_SHARE as many words as there are labelings,
-# and from its mask above that. Timed on flat graphs at n = 12 to 22, the
-# ball is the faster at every size (at n = 22, 3.5-23 ms against 88-330 ms
-# for radii 2 to 10); the bound keeps its arrays, about 40 bytes per word
-# listed, near the size of those the mask takes.
-_BALL_SHARE = 2
+# listed in at most 1/_BALL_MEMBERSHIP_SHARE as many words as there are
+# labelings, and from its mask above that. Timed on flat graphs at n = 12
+# to 22, the ball is the faster at every size (at n = 22, 3.5-23 ms against
+# 88-330 ms for radii 2 to 10); the bound keeps its arrays, about 40 bytes
+# per word listed, near the size of those the mask takes. (The table sums a
+# ball's mass by its own share, posterior._BALL_SHARE: ball against scan.)
+_BALL_MEMBERSHIP_SHARE = 2
 
 # Relative rounding of the group mass sums is at most about 1e-16 times the
 # number of labelings, below 1e-9 up to the enumeration cap.

@@ -30,6 +30,7 @@ __all__ = [
     "canonical_order",
     "half_cube_key",
     "half_cube_keys",
+    "half_cube_words",
     "canonical_index",
     "canonical_positions",
     "ball_size",
@@ -45,11 +46,12 @@ __all__ = [
     "derive_rng",
 ]
 
-# Exact inference scores the 2^(n-1) labelings of the half cube and holds a
-# few arrays over all 2^(n-1) canonical labelings (words, class sizes and
-# levels; per-labeling floats only when asked for), so each extra vertex
-# doubles its time and memory. The cap keeps one exact query well under a
-# second and a few hundred MB.
+# Exact inference scores the 2^(n-1) labelings of the half cube and holds
+# their levels in key order, so each extra vertex doubles its time and
+# memory. The canonical index (words and class sizes), the canonical levels
+# and the per-labeling floats are further arrays over all 2^(n-1)
+# labelings, built only by the queries that read them. The cap keeps one
+# exact query well under a second and a few hundred MB.
 ENUMERATION_CAP = 22
 
 
@@ -241,6 +243,16 @@ def half_cube_keys(words: np.ndarray, n: int) -> np.ndarray:
     high = keys >= np.uint32(1 << (n - 1))
     keys[high] ^= np.uint32((1 << n) - 1)
     return keys
+
+
+def half_cube_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """The canonical word (uint32) of the labeling with each half-cube key,
+    the inverse of half_cube_keys: the key's bits reversed, complemented
+    where more than n/2 of them are set."""
+    keys = np.asarray(keys, dtype=np.uint32)
+    words = _bit_reverse(keys, n)
+    words[2 * np.bitwise_count(keys) > n] ^= np.uint32((1 << n) - 1)
+    return words
 
 
 # A low key's position in canonical order is its rank among the low keys;

@@ -20,6 +20,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .model import (
+    ENUMERATION_CAP,
     EdgeModel,
     Graph,
     LabelVector,
@@ -32,6 +33,7 @@ from .model import (
     derive_rng,
     half_cube_key,
     half_cube_keys,
+    half_cube_words,
     label_strings,
 )
 from .priors import PriorSpec, log_mass_by_class_size
@@ -166,7 +168,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # by a scan over every labeling instead. Timed on flat graphs, the listing
 # is the faster up to a share of about 1/10 at n = 14 and 1/4 at n = 18
 # and 22 (at n = 22 and radius 3, 0.07 ms against 24 ms); at n = 12 both
-# take 25-40 us.
+# take 25-40 us. (Set membership by ball has its own share,
+# inference._BALL_MEMBERSHIP_SHARE: ball against mask.)
 _BALL_SHARE = 8
 
 
@@ -176,26 +179,27 @@ class PosteriorTable:
 
     Labelings fall into levels that share one class size and one log mass;
     exact_posterior makes a level of each pair (m, s) of smaller-class size
-    and within-class edge count. The table keeps each half-cube key's level in key order, per chunk of
-    keys how many of its labelings each level holds, and per level its log
-    mass, probability, class size and labeling count. It reports the mass
-    of a set of labelings as a count-weighted sum over levels (see
-    masked_mass). The canonical ``level`` and the per-labeling arrays
-    ``log_unnormalized`` and ``probabilities`` are built only when first
-    read. Immutable after construction.
+    and within-class edge count. The table keeps each half-cube key's level
+    in key order, per chunk of keys how many of its labelings each level
+    holds, and per level its log mass, probability, class size and labeling
+    count. It reports the mass of a set of labelings as a count-weighted sum
+    over levels (see masked_mass).
+
+    Point lookups, class-size masses, the mode and small balls read the
+    key-order levels and the level arrays alone. Arrays over the canonical
+    index are built only when first read: its ``words`` and
+    ``class_sizes`` (model.canonical_words), the canonical ``level``, and
+    the per-labeling ``log_unnormalized`` and ``probabilities``. Immutable
+    after construction.
     """
 
-    def __init__(self, n: int, words: np.ndarray, class_sizes: np.ndarray,
-                 half_level: np.ndarray, chunk_count: np.ndarray,
+    def __init__(self, n: int, half_level: np.ndarray, chunk_count: np.ndarray,
                  level_log_mass: np.ndarray, level_class_size: np.ndarray):
-        """The table over canonical_words(n), ``words`` with class sizes
-        ``class_sizes``, whose labeling with half-cube key h lies in level
-        half_level[h], chunk_count[c, i] of the keys in chunk c (keys
-        c·2^L to (c + 1)·2^L − 1) lying in level i. The level counts are its
-        column sums (at most 2^(n-1), summed in uint32)."""
+        """The table over canonical_words(n) whose labeling with half-cube
+        key h lies in level half_level[h], chunk_count[c, i] of the keys in
+        chunk c (keys c·2^L to (c + 1)·2^L − 1) lying in level i. The level
+        counts are its column sums (at most 2^(n-1), summed in uint32)."""
         self.n = n
-        self.words = words
-        self.class_sizes = class_sizes
         self._half_level = half_level
         self._chunk_count = chunk_count
         self._level_class_size = level_class_size
@@ -206,6 +210,16 @@ class PosteriorTable:
         self._level_log_mass = np.where(level_count > 0, level_log_mass, -np.inf)
         self.log_normalizer = log_sum_exp(self._level_log_mass, level_count)
         self._level_prob = _read_only(np.exp(self._level_log_mass - self.log_normalizer))
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        """Per labeling, its packed word: canonical_words(n)."""
+        return canonical_words(self.n)[0]
+
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """Per labeling, its smaller-class size."""
+        return canonical_words(self.n)[1]
 
     @cached_property
     def level(self) -> np.ndarray:
@@ -248,7 +262,7 @@ class PosteriorTable:
         return log_sum_exp(self._level_log_mass, counts), prob
 
     def __len__(self) -> int:
-        return len(self.words)
+        return 1 << (self.n - 1)
 
     def level_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Per level: the probability of each of its labelings, and how
@@ -266,10 +280,11 @@ class PosteriorTable:
         return self._half_level[keys]
 
     def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For a boolean mask over the levels: the index positions of the
-        labelings in the levels it selects, in no set order, and the level
+        """For a boolean mask over the levels: the half-cube keys (intp) of
+        the labelings in the levels it selects, in key order, and the level
         of each. The key-order levels are read only in the chunks whose
-        histogram holds a selected level, and no ``level`` is built."""
+        histogram holds a selected level, and nothing over the canonical
+        index is built (model.canonical_positions gives index positions)."""
         half_level = self._half_level
         size = min(len(half_level), 1 << _CHUNK_BITS)
         held = self._chunk_count.compress(levels, axis=1).sum(axis=1, dtype=np.intp)
@@ -284,13 +299,14 @@ class PosteriorTable:
             found = np.flatnonzero(hit)
             np.add(found, start, out=keys[end:end + len(found)])
             end += len(found)
-        return canonical_positions(keys, self.n), half_level[keys]
+        return keys, half_level[keys]
 
     def mode(self) -> LabelVector:
         """The most probable labeling; ties go to the first in index
         order, i.e. lexicographically."""
-        positions, _ = self.labelings_in(self._level_prob == self._level_prob.max())
-        return LabelVector(self.n, int(self.words[positions.min()]))
+        keys, _ = self.labelings_in(self._level_prob == self._level_prob.max())
+        first = keys[[np.argmin(canonical_positions(keys, self.n))]]
+        return LabelVector(self.n, int(half_cube_words(first, self.n)[0]))
 
     def mass_of_class_size(self, m: int) -> float:
         return self.class_size_mass(np.arange(self.n // 2 + 1) == m)[1]
@@ -340,13 +356,19 @@ class PosteriorTable:
         ))
 
 
-def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel) -> np.ndarray:
+def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel,
+                   sizes: Iterable[int] | None = None) -> np.ndarray:
     """Log prior times likelihood of a labeling of n vertices on a graph of
     e edges, per level: entry [m, s] for smaller-class size m and s
     within-class edges, on the read-only float64 (n//2 + 1) x (e + 1) grid.
+
+    With ``sizes``, only the rows of those class sizes, in that order; each
+    entry is computed as on the whole grid, so it is the grid's own value.
     """
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
-    m = np.arange(n // 2 + 1, dtype=np.int64)[:, np.newaxis]
+    if sizes is None:
+        sizes = range(n // 2 + 1)
+    m = np.fromiter(sizes, dtype=np.int64)[:, np.newaxis]
     wp = m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
     total_pairs = n * (n - 1) // 2
     ll = (
@@ -355,7 +377,7 @@ def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel) -> np.nda
         + (e - we) * math.log(model.q)
         + ((total_pairs - wp) - (e - we)) * math.log1p(-model.q)
     )
-    lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
+    lp = np.asarray(log_mass_by_class_size(prior, n))[m]
     return _read_only(lp + ll)
 
 
@@ -367,11 +389,12 @@ def exact_posterior(x: Graph, prior: PriorSpec, model: EdgeModel) -> PosteriorTa
     each labeling's level: level m·(E + 1) + s.
     """
     n = x.n
-    words, ms = canonical_words(n)
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     e = x.num_edges
     half_level, chunk_count = _half_cube_levels(x)
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
-    return PosteriorTable(n, words, ms, half_level, chunk_count,
+    return PosteriorTable(n, half_level, chunk_count,
                           level_log_mass(n, e, prior, model).ravel(), level_class_size)
 
 
@@ -416,6 +439,11 @@ class McmcResult:
 _BLOCK = 1 << 14
 
 
+def _grid_row(n: int, e: int, prior: PriorSpec, model: EdgeModel, k: int) -> list[float]:
+    """The level_log_mass row of the labelings with k vertices at label 1."""
+    return level_log_mass(n, e, prior, model, [min(k, n - k)])[0].tolist()
+
+
 def mcmc_posterior(
     x: Graph, prior: PriorSpec, model: EdgeModel, cfg: McmcConfig
 ) -> McmcResult:
@@ -436,10 +464,13 @@ def mcmc_posterior(
     rng = derive_rng(cfg.seed)
     masks = x.neighbor_masks
     degs = [mk.bit_count() for mk in masks]
-    # log mass by raw 1-count m and within-class edge count s: the grid's
-    # row for the canonical class size min(m, n - m)
-    rows = level_log_mass(n, x.num_edges, prior, model).tolist()
-    by_count = [rows[min(k, n - k)] for k in range(n + 1)]
+    # log mass by raw 1-count k and within-class edge count s: the grid's
+    # row for the canonical class size min(k, n - k). A row is built when
+    # the chain first comes within one flip of k, so that every proposal
+    # reads a built row; the entry past the end, also read at index -1,
+    # stands for the counts no flip reaches.
+    by_count: list = [None] * (n + 1) + [()]
+    e = x.num_edges
 
     start_bits = rng.integers(0, 2, size=n)
     w = 0
@@ -449,6 +480,9 @@ def mcmc_posterior(
     s = 0
     for i, j in x.edges:
         s += ((w >> i) ^ (w >> j)) & 1 == 0
+    for k in (m - 1, m, m + 1):
+        if by_count[k] is None:
+            by_count[k] = by_count[n - k] = _grid_row(n, e, prior, model, k)
 
     total_steps = cfg.burn_in + cfg.samples * cfg.thin
     accepted = 0
@@ -474,6 +508,10 @@ def mcmc_posterior(
                     w ^= 1 << v
                     s, m, current_score = s_new, m_new, new_score
                     accepted += 1
+                    ahead = m - 1 if bit else m + 1
+                    if by_count[ahead] is None:
+                        by_count[ahead] = by_count[n - ahead] = _grid_row(
+                            n, e, prior, model, ahead)
             step += 1
             if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
                 emitted.append(canonicalize_word(w, n))

@@ -16,7 +16,7 @@ def table_from_masses(n, log_unnormalized):
     in order, the high keys the rest in reverse. Each chunk of 2^14 keys
     is counted into its own histogram row.
     """
-    words, class_sizes = canonical_words(n)
+    _, class_sizes = canonical_words(n)
     pairs, level = np.unique(np.column_stack((class_sizes, log_unnormalized)),
                              axis=0, return_inverse=True)
     level = level.reshape(-1)
@@ -27,5 +27,5 @@ def table_from_masses(n, log_unnormalized):
     size = min(1 << _CHUNK_BITS, len(low))
     chunk_count = np.array([np.bincount(half_level[start:start + size], minlength=len(pairs))
                             for start in range(0, len(low), size)], dtype=np.uint16)
-    return PosteriorTable(n, words, class_sizes, half_level, chunk_count,
+    return PosteriorTable(n, half_level, chunk_count,
                           pairs[:, 1], pairs[:, 0].astype(class_sizes.dtype))

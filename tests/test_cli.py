@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bisect_bayes import inference
+from bisect_bayes import inference, posterior
 from bisect_bayes.cli import main
 
 
@@ -307,6 +307,24 @@ class TestMalformedJson:
                               "--p", "0.9", "--q", "0.1", *extra], capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["posterior", "credible", "test"])
+    def test_past_the_cap_exits_2_before_scoring(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        def scoring(*args):
+            raise AssertionError("the half cube was scored")
+
+        monkeypatch.setattr(posterior, "_half_cube_levels", scoring)
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 23, "edges": [[0, 1]]}')
+        extra = {"posterior": ["--mode", "exact", "--out", str(tmp_path / "x.csv")],
+                 "credible": ["--gamma", "0.05"],
+                 "test": ["--m0", "0", "--complement"]}[command]
+        code, out, err = run([command, "--graph", str(graph), "--prior", "uniform-m",
+                              "--p", "0.9", "--q", "0.1", *extra], capsys)
+        assert code == 2
+        assert err == "error: n=23 exceeds enumeration cap 22\n"
         assert out == ""
 
     def test_integer_endpoints_still_read(self, tmp_path, capsys):

@@ -333,7 +333,7 @@ class TestMembershipWithoutMasks:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_membership_matches_mask(self, n, kind, monkeypatch):
         # every enlargement is answered from the ball, however large
-        monkeypatch.setattr(inference, "_BALL_SHARE", 0)
+        monkeypatch.setattr(inference, "_BALL_MEMBERSHIP_SHARE", 0)
         thetas = list(enumerate_labelings(n))
         for gamma in (0.05, 0.3, 0.7):
             table = membership_table(kind, n)
@@ -349,7 +349,7 @@ class TestMembershipWithoutMasks:
     def test_table_from_the_constructor(self, monkeypatch):
         # a table whose levels are every distinct (class size, mass), not
         # (m, s): membership, masks and balls read them by key all the same
-        monkeypatch.setattr(inference, "_BALL_SHARE", 0)
+        monkeypatch.setattr(inference, "_BALL_MEMBERSHIP_SHARE", 0)
         table = hpd_table("unleveled")
         thetas = list(enumerate_labelings(table.n))
         for gamma in (0.01, 0.5):

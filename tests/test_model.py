@@ -30,6 +30,7 @@ from bisect_bayes.model import (
     canonical_positions,
     canonical_words,
     half_cube_keys,
+    half_cube_words,
     label_strings,
 )
 
@@ -171,6 +172,17 @@ class TestCanonicalIndex:
             if string[0] == "1":
                 string = "".join("10"[int(c)] for c in string)
             assert key == int(string, 2)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_half_cube_words_invert_the_keys(self, n):
+        words, _ = canonical_words(n)
+        got = half_cube_words(half_cube_keys(words, n).astype(np.intp), n)
+        assert got.dtype == np.uint32 and np.array_equal(got, words)
+
+    def test_half_cube_words_invert_the_keys_at_the_cap(self):
+        words, _ = canonical_words(22)
+        sample = words[np.random.default_rng(22).integers(0, len(words), size=4096)]
+        assert np.array_equal(half_cube_words(half_cube_keys(sample, 22), 22), sample)
 
 
 class TestLabelStrings:
