@@ -107,9 +107,8 @@ class _HpdRule:
         keys, level = table.labelings_in(prob >= self.cutoff)
         positions = canonical_positions(keys, table.n)
         order = np.argsort(positions)
-        keep = np.ones(len(order), dtype=bool)
-        keep[np.flatnonzero(prob[level[order]] == self.cutoff)[self.taken:]] = False
-        order = order[keep]
+        tied = np.flatnonzero(prob[level[order]] == self.cutoff)
+        order = np.delete(order, tied[self.taken:])
         return keys[order], positions[order]
 
     def holds(self, theta: LabelVector) -> bool:
