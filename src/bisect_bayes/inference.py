@@ -248,6 +248,14 @@ class EnlargedSet(_LabelingSet):
 # Timed on flat graphs, the scatter is the faster below a share of about
 # 1/10 at n = 18 and 22, and within about 10% of the gather up to 1/32 at
 # n = 14; at a share of 3/4 (coverage-flat) the gather takes half the time.
+# For member words, converting the listed keys against reading words[mask]
+# (the mask built by the rule), timed likewise with a fresh table each run:
+# with the index cached, the listing is the faster below a share of about
+# 1/10 at n = 22 (0.8x at 0.09), even or faster at n = 18 up to 1/20, and
+# 1.4-1.6x slower at n = 14 up to 1/27 (0.13 against 0.08 ms); with the
+# index built in the call, it is the faster below about 1/5 at n = 18 and
+# 22 (0.01-0.8x). From a share of about 1/3 it takes 1.6-4.4x as long at
+# every size (at n = 22 and 0.64, 126 ms against 29-53 ms).
 _SMALL_SET = 32
 
 # An enlargement answers membership from theta's ball while the ball is

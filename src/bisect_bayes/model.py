@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_labelings",
     "canonical_words",
     "canonical_order",
+    "check_enumerable",
     "half_cube_key",
     "half_cube_keys",
     "half_cube_words",
@@ -186,11 +187,17 @@ def canonical_words(n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (words, m) where words[k] packs the k-th labeling (bit i =
     vertex i) and m[k] is its smaller-class size. Read-only arrays, cached.
     """
+    check_enumerable(n)
+    return _canonical_words(n)
+
+
+def check_enumerable(n: int) -> None:
+    """Raise ValueError unless the labelings of n vertices can be
+    enumerated: n must be positive and at most ENUMERATION_CAP."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-    return _canonical_words(n)
 
 
 # The canonical index is built from the half cube: the keys h < 2^(n-1) of

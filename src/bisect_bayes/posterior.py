@@ -20,7 +20,6 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .model import (
-    ENUMERATION_CAP,
     EdgeModel,
     Graph,
     LabelVector,
@@ -30,6 +29,7 @@ from .model import (
     canonical_positions,
     canonical_words,
     canonicalize_word,
+    check_enumerable,
     derive_rng,
     half_cube_key,
     half_cube_keys,
@@ -356,19 +356,13 @@ class PosteriorTable:
         ))
 
 
-def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel,
-                   sizes: Iterable[int] | None = None) -> np.ndarray:
+def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel) -> np.ndarray:
     """Log prior times likelihood of a labeling of n vertices on a graph of
     e edges, per level: entry [m, s] for smaller-class size m and s
     within-class edges, on the read-only float64 (n//2 + 1) x (e + 1) grid.
-
-    With ``sizes``, only the rows of those class sizes, in that order; each
-    entry is computed as on the whole grid, so it is the grid's own value.
     """
     we = np.arange(e + 1, dtype=np.int64)[np.newaxis, :]
-    if sizes is None:
-        sizes = range(n // 2 + 1)
-    m = np.fromiter(sizes, dtype=np.int64)[:, np.newaxis]
+    m = np.arange(n // 2 + 1, dtype=np.int64)[:, np.newaxis]
     wp = m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
     total_pairs = n * (n - 1) // 2
     ll = (
@@ -377,7 +371,7 @@ def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel,
         + (e - we) * math.log(model.q)
         + ((total_pairs - wp) - (e - we)) * math.log1p(-model.q)
     )
-    lp = np.asarray(log_mass_by_class_size(prior, n))[m]
+    lp = np.asarray(log_mass_by_class_size(prior, n))[:, np.newaxis]
     return _read_only(lp + ll)
 
 
@@ -389,8 +383,7 @@ def exact_posterior(x: Graph, prior: PriorSpec, model: EdgeModel) -> PosteriorTa
     each labeling's level: level m·(E + 1) + s.
     """
     n = x.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
+    check_enumerable(n)
     e = x.num_edges
     half_level, chunk_count = _half_cube_levels(x)
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
@@ -439,11 +432,6 @@ class McmcResult:
 _BLOCK = 1 << 14
 
 
-def _grid_row(n: int, e: int, prior: PriorSpec, model: EdgeModel, k: int) -> list[float]:
-    """The level_log_mass row of the labelings with k vertices at label 1."""
-    return level_log_mass(n, e, prior, model, [min(k, n - k)])[0].tolist()
-
-
 def mcmc_posterior(
     x: Graph, prior: PriorSpec, model: EdgeModel, cfg: McmcConfig
 ) -> McmcResult:
@@ -464,13 +452,10 @@ def mcmc_posterior(
     rng = derive_rng(cfg.seed)
     masks = x.neighbor_masks
     degs = [mk.bit_count() for mk in masks]
-    # log mass by raw 1-count k and within-class edge count s: the grid's
-    # row for the canonical class size min(k, n - k). A row is built when
-    # the chain first comes within one flip of k, so that every proposal
-    # reads a built row; the entry past the end, also read at index -1,
-    # stands for the counts no flip reaches.
-    by_count: list = [None] * (n + 1) + [()]
-    e = x.num_edges
+    # log mass by raw 1-count m and within-class edge count s: the grid's
+    # row for the canonical class size min(m, n - m)
+    rows = level_log_mass(n, x.num_edges, prior, model).tolist()
+    by_count = [rows[min(k, n - k)] for k in range(n + 1)]
 
     start_bits = rng.integers(0, 2, size=n)
     w = 0
@@ -480,9 +465,6 @@ def mcmc_posterior(
     s = 0
     for i, j in x.edges:
         s += ((w >> i) ^ (w >> j)) & 1 == 0
-    for k in (m - 1, m, m + 1):
-        if by_count[k] is None:
-            by_count[k] = by_count[n - k] = _grid_row(n, e, prior, model, k)
 
     total_steps = cfg.burn_in + cfg.samples * cfg.thin
     accepted = 0
@@ -508,10 +490,6 @@ def mcmc_posterior(
                     w ^= 1 << v
                     s, m, current_score = s_new, m_new, new_score
                     accepted += 1
-                    ahead = m - 1 if bit else m + 1
-                    if by_count[ahead] is None:
-                        by_count[ahead] = by_count[n - ahead] = _grid_row(
-                            n, e, prior, model, ahead)
             step += 1
             if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
                 emitted.append(canonicalize_word(w, n))

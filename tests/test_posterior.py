@@ -1,15 +1,10 @@
 import copy
 import hashlib
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +29,7 @@ from bisect_bayes import (
 )
 from bisect_bayes import cli, inference, posterior
 from bisect_bayes.model import (
+    _canonical_words,
     canonical_index,
     canonical_order,
     canonical_positions,
@@ -445,19 +441,6 @@ class TestMaskedMass:
                                     pairwise_sums(table, mask)[1], rel_tol=1e-12)
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-NO_INDEX_RUN = """
-import contextlib, io, json, sys
-from bisect_bayes import cli, model
-common = ["--graph", sys.argv[1], "--prior", "bernoulli:r=0.5", "--p", "0.7", "--q", "0.2"]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["test", *common, "--m0", "0", "--complement"]),
-             cli.main(["credible", *common, "--gamma", "0.05", "--enlarge", "1"])]
-print(json.dumps({"codes": codes, "cached": model._canonical_words.cache_info().currsize}))
-"""
-
-
 class TestPerLabelingArraysOnDemand:
     @pytest.fixture()
     def tables(self, monkeypatch):
@@ -482,6 +465,7 @@ class TestPerLabelingArraysOnDemand:
         g = sample_graph(canonicalize([v < 4 for v in range(16)]), EdgeModel(0.7, 0.2), 1)
         graph = tmp_path / "g.json"
         graph.write_text(g.to_json())
+        _canonical_words.cache_clear()
         assert cli.main([argv[0], "--graph", str(graph), "--prior", "bernoulli:r=0.5",
                          "--p", "0.7", "--q", "0.2", *argv[1:]]) == 0
         assert len(tables) == 1 and len(tables[0]) == 1 << 15
@@ -490,24 +474,10 @@ class TestPerLabelingArraysOnDemand:
         # class-size tests read the level counts alone, and a small
         # credible set is found from the key-order levels
         assert "level" not in vars(tables[0])
-        # and so is its member list, and that of its radius-1 enlargement;
-        # a wider one is read from the canonical index
+        # and so is its member list, and that of its radius-1 enlargement,
+        # with no canonical index built; a wider one is read from the index
         if argv[-2:] != ["--enlarge", "2"]:
-            assert "words" not in vars(tables[0])
-            assert "class_sizes" not in vars(tables[0])
-
-    def test_queries_build_no_canonical_index(self, tmp_path):
-        # a fresh process, so that no earlier test has filled the cache
-        g = sample_graph(canonicalize([v < 5 for v in range(20)]), EdgeModel(0.7, 0.2), 0)
-        graph = tmp_path / "g.json"
-        graph.write_text(g.to_json())
-        proc = subprocess.run(
-            [sys.executable, "-c", NO_INDEX_RUN, str(graph)],
-            capture_output=True, text=True, cwd=ROOT, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "cached": 0}
+            assert _canonical_words.cache_info().currsize == 0
 
     @pytest.mark.parametrize("query, limit", [
         (lambda table: inference.class_size_odds(table, 0, None), 4),
@@ -782,22 +752,6 @@ class TestMcmc:
         words = [s.word for s in mcmc_posterior(g, prior, model, cfg).samples]
         assert hashlib.sha256(" ".join(map(str, words)).encode()).hexdigest() == digest
 
-    def test_builds_only_the_rows_next_to_the_chain(self, monkeypatch):
-        # a one-step chain needs the rows one flip from its start, and at
-        # most one more after an accepted flip, not the whole grid
-        rows = []
-
-        def recording(n, e, prior, model, sizes=None):
-            rows.append(None if sizes is None else list(sizes))
-            return level_log_mass(n, e, prior, model, sizes)
-
-        monkeypatch.setattr(posterior, "level_log_mass", recording)
-        n = 200
-        model = EdgeModel(0.7, 0.2)
-        g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), model, 0)
-        mcmc_posterior(g, UNIFORM, model, McmcConfig(burn_in=1, samples=1, thin=1, seed=0))
-        assert None not in rows and 1 <= sum(map(len, rows)) <= 4
-
 
 class TestLevelLogMass:
     @pytest.mark.parametrize("n", [9, 20, 40, 64, 80])
@@ -819,15 +773,3 @@ class TestLevelLogMass:
                 s = sum(bits[i] == bits[j] for i, j in g.edges)
                 reference = log_prior_mass(theta, prior) + log_likelihood(theta, g, model)
                 assert grid[theta.m, s] == reference
-
-    @pytest.mark.parametrize("n", [9, 40, 80])
-    @pytest.mark.parametrize("prior", [FixedBernoulli(0.3), BetaBernoulli(1.5, 2.5),
-                                       UniformClassSize()])
-    def test_rows_by_class_size_are_the_grids(self, n, prior):
-        model = EdgeModel(0.5, 0.45)
-        e = sample_graph(canonicalize([v < n // 3 for v in range(n)]), model, n).num_edges
-        grid = level_log_mass(n, e, prior, model)
-        sizes = np.random.default_rng(n).permutation(n // 2 + 1)[:5].tolist()
-        rows = level_log_mass(n, e, prior, model, sizes)
-        assert not rows.flags.writeable
-        assert rows.tobytes() == grid[sizes].tobytes()
