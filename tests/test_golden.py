@@ -35,8 +35,8 @@ GRAPHS = {
     "n14-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
 }
 # sharp graphs at odd n and at the enumeration cap (where class size n/2
-# ties), pinned for credible --enlarge 1 and test only: a posterior CSV
-# there has 2^(n-1) rows
+# ties), pinned for credible --enlarge 1, test and posterior --mode exact:
+# their posterior CSVs (2^20 and 2^21 rows) are written in many chunks
 CAP_GRAPHS = {
     "n21-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
     "n22-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
@@ -60,6 +60,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             ["test", *common, "--m0", "0", "--complement", "--out", "{out}/test.json"],
             ["test.json"],
         )
+        cases[f"{stem}:posterior"] = (
+            ["posterior", *common, "--mode", "exact", "--out", "{out}/posterior.csv",
+             "--marginals-out", "{out}/marginals.csv"],
+            ["posterior.csv", "marginals.csv"],
+        )
         if stem in CAP_GRAPHS:
             cases[f"{stem}:credible"] = (
                 ["credible", *common, "--gamma", "0.05", "--enlarge", "1",
@@ -67,11 +72,6 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
                 ["credible.json"],
             )
             continue
-        cases[f"{stem}:posterior"] = (
-            ["posterior", *common, "--mode", "exact", "--out", "{out}/posterior.csv",
-             "--marginals-out", "{out}/marginals.csv"],
-            ["posterior.csv", "marginals.csv"],
-        )
         if stem in MCMC_GRAPHS:
             cases[f"{stem}:posterior-mcmc"] = (
                 ["posterior", *common, "--mode", "mcmc", "--seed", "7", "--burn-in", "500",
