@@ -40,9 +40,9 @@ __all__ = [
 
 class _LabelingSet:
     """A set of canonical labelings on ``n`` vertices, given by a rule.
-    ``theta in S`` is answered by the rule (``_holds``) until the read-only
-    boolean ``mask`` over canonical_words(n) has been read; the rule builds
-    the mask (``_build_mask``) when it is first read."""
+    ``theta in S`` is answered by the rule (``_holds``), which also builds
+    the read-only boolean ``mask`` over canonical_words(n)
+    (``_build_mask``) when it is first read."""
 
     n: int
 
@@ -53,11 +53,7 @@ class _LabelingSet:
         return mask
 
     def __contains__(self, theta: LabelVector) -> bool:
-        if theta.n != self.n:
-            return False
-        if "mask" in vars(self):
-            return bool(self.mask[canonical_index(theta)])
-        return self._holds(theta)
+        return theta.n == self.n and self._holds(theta)
 
     def member_words(self) -> np.ndarray:
         """The members' packed words (uint32), in index order."""
@@ -167,12 +163,6 @@ class CredibleSet(_LabelingSet):
     def _holds(self, theta: LabelVector) -> bool:
         return self._rule.holds(theta)
 
-    def _holds_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Per half-cube key (intp), whether its labeling is a member."""
-        if "mask" in vars(self):
-            return self.mask[canonical_positions(keys, self.n)]
-        return self._rule.holds_keys(keys)
-
     def _build_mask(self) -> np.ndarray:
         return self._rule.mask()
 
@@ -207,7 +197,7 @@ class EnlargedSet(_LabelingSet):
             return True
         if _BALL_MEMBERSHIP_SHARE * ball_size(self.n, self.radius) > 1 << (self.n - 1):
             return bool(self.mask[canonical_index(theta)])
-        return bool(self.base._holds_keys(ball_keys(theta, self.radius)).any())
+        return bool(self.base._rule.holds_keys(ball_keys(theta, self.radius)).any())
 
     def member_words(self) -> np.ndarray:
         if self.radius <= 1:
@@ -367,22 +357,14 @@ def posterior_odds(table: PosteriorTable, a_set: np.ndarray, b_set: np.ndarray) 
     disjoint and a_set must carry positive mass. Computed via log-sum-exp
     over unnormalized masses, so the normalizer cancels.
     """
-    return _odds(table, _as_mask(table, a_set), _as_mask(table, b_set))[0]
-
-
-def _odds(table: PosteriorTable, sel_a: np.ndarray,
-          sel_b: np.ndarray) -> tuple[float, float, float]:
-    """log posterior odds of sel_b against sel_a, with the posterior mass
-    of each."""
+    sel_a, sel_b = _as_mask(table, a_set), _as_mask(table, b_set)
     overlap = np.flatnonzero(sel_a & sel_b)
     if len(overlap):
         theta = LabelVector(table.n, int(table.words[overlap[0]]))
         raise ValueError(f"hypothesis sets overlap at {theta}")
     if not sel_a.any():
         raise ValueError("null set carries no posterior mass")
-    log_a, mass_a = table.masked_mass(sel_a)
-    log_b, mass_b = table.masked_mass(sel_b)
-    return log_b - log_a, mass_a, mass_b
+    return table.masked_mass(sel_b)[0] - table.masked_mass(sel_a)[0]
 
 
 def odds_error_bounds(

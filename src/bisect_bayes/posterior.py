@@ -10,7 +10,6 @@ proposal is exactly symmetric) with canonical projection at emission.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .model import (
+    _STRING_CHUNK,
     EdgeModel,
     Graph,
     LabelVector,
@@ -186,11 +186,11 @@ class PosteriorTable:
     over levels (see masked_mass).
 
     Point lookups, class-size masses, the mode and small balls read the
-    key-order levels and the level arrays alone. Arrays over the canonical
-    index are built only when first read: its ``words`` and
-    ``class_sizes`` (model.canonical_words), the canonical ``level``, and
-    the per-labeling ``log_unnormalized`` and ``probabilities``. Immutable
-    after construction.
+    key-order levels and the level arrays alone. The only arrays over the
+    canonical index, its ``words`` and ``class_sizes``
+    (model.canonical_words) and the canonical ``level``, are built when
+    first read. No per-labeling float is kept: a labeling's log mass and
+    probability are its level's. Immutable after construction.
     """
 
     def __init__(self, n: int, half_level: np.ndarray, chunk_count: np.ndarray,
@@ -226,16 +226,6 @@ class PosteriorTable:
         """Per labeling, the index of its level (intp, so that gathers by
         level need no index cast)."""
         return _read_only(canonical_order(self._half_level, self.n).astype(np.intp))
-
-    @cached_property
-    def log_unnormalized(self) -> np.ndarray:
-        """Per labeling, the log of its unnormalized posterior mass."""
-        return _read_only(self._level_log_mass[self.level])
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        """Per labeling, its posterior probability."""
-        return _read_only(self._level_prob[self.level])
 
     def masked_mass(self, mask: np.ndarray) -> tuple[float, float]:
         """For the labelings a boolean mask over the index selects: the log
@@ -316,9 +306,9 @@ class PosteriorTable:
 
         A ball listed in at most 1/_BALL_SHARE as many words as there are
         labelings is listed by model.ball_keys: its distinct labelings, in
-        index order, are summed by their level probabilities, the same
-        float64 sum as over the selected entries of ``probabilities``.
-        A larger ball is found by scanning every labeling.
+        index order, are summed by their level probabilities. A larger ball
+        is found by scanning every labeling; both sum the same float64
+        values in the same order.
         """
         if center.n != self.n:
             raise ValueError(f"vertex counts differ: {center.n} vs {self.n}")
@@ -328,14 +318,14 @@ class PosteriorTable:
             return float(self._level_prob[self.levels_at(keys[first])].sum())
         k = np.bitwise_count(self.words ^ np.uint32(center.word)).astype(np.int64)
         sym = np.minimum(k, self.n - k)
-        return float(self.probabilities[sym < radius].sum())
+        return float(self._level_prob[self.level[sym < radius]].sum())
 
     def inclusion_probabilities(self) -> np.ndarray:
         """Posterior probability that each vertex carries label 1."""
         out = np.zeros(self.n)
         for v in range(self.n):
             bit = (self.words >> np.uint32(v)) & np.uint32(1)
-            out[v] = float(self.probabilities[bit == 1].sum())
+            out[v] = float(self._level_prob[self.level[bit == 1]].sum())
         return out
 
     def class_size_probabilities(self) -> np.ndarray:
@@ -345,15 +335,16 @@ class PosteriorTable:
 
     def write_csv(self, f: TextIO) -> None:
         """Rows labeling,log_unnormalized,probability sorted by probability
-        descending, ties lexicographic."""
-        order = np.argsort(-self.probabilities, kind="stable")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["labeling", "log_unnormalized", "probability"])
-        writer.writerows(zip(
-            label_strings(self.words[order], self.n),
-            map(repr, self.log_unnormalized[order].tolist()),
-            map(repr, self.probabilities[order].tolist()),
-        ))
+        descending, ties lexicographic. Each level's two floats are written
+        as one repr'd string, and the rows go out in chunks."""
+        text = [f",{mass!r},{prob!r}\n" for mass, prob in
+                zip(self._level_log_mass.tolist(), self._level_prob.tolist())]
+        order = np.argsort(-self._level_prob[self.level], kind="stable")
+        f.write("labeling,log_unnormalized,probability\n")
+        for start in range(0, len(order), _STRING_CHUNK):
+            chunk = order[start:start + _STRING_CHUNK]
+            rows = zip(label_strings(self.words[chunk], self.n), self.level[chunk].tolist())
+            f.write("".join([label + text[i] for label, i in rows]))
 
 
 def level_log_mass(n: int, e: int, prior: PriorSpec, model: EdgeModel) -> np.ndarray:

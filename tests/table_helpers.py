@@ -1,4 +1,5 @@
-"""Posterior tables built from per-labeling masses, for tests."""
+"""Posterior tables built from per-labeling masses, and per-labeling
+masses read from posterior tables, for tests."""
 
 import numpy as np
 
@@ -6,7 +7,7 @@ from bisect_bayes.model import _half_split, canonical_words
 from bisect_bayes.posterior import _CHUNK_BITS, PosteriorTable
 
 
-def table_from_masses(n, log_unnormalized):
+def table_from_masses(n, log_masses):
     """The table over canonical_words(n) whose labelings carry the given
     log unnormalized masses, in index order: every distinct pair of class
     size and mass is a level.
@@ -17,7 +18,7 @@ def table_from_masses(n, log_unnormalized):
     is counted into its own histogram row.
     """
     _, class_sizes = canonical_words(n)
-    pairs, level = np.unique(np.column_stack((class_sizes, log_unnormalized)),
+    pairs, level = np.unique(np.column_stack((class_sizes, log_masses)),
                              axis=0, return_inverse=True)
     level = level.reshape(-1)
     low = _half_split(n)
@@ -29,3 +30,14 @@ def table_from_masses(n, log_unnormalized):
                             for start in range(0, len(low), size)], dtype=np.uint16)
     return PosteriorTable(n, half_level, chunk_count,
                           pairs[:, 1], pairs[:, 0].astype(class_sizes.dtype))
+
+
+def probabilities(table):
+    """Per labeling, in index order, its posterior probability: its level's."""
+    return table.level_masses()[0][table.level]
+
+
+def log_unnormalized(table):
+    """Per labeling, in index order, the log of its unnormalized posterior
+    mass: its level's."""
+    return table._level_log_mass[table.level]

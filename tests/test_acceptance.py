@@ -46,6 +46,7 @@ from bisect_bayes.priors import (
     bernoulli_ratio_sandwich_violations,
     beta_ratio_bound_violations,
 )
+from table_helpers import probabilities
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -269,8 +270,9 @@ def coverage_harness():
         hpd = hpd_credible_set(table, gamma)
         enlarged = enlarge(hpd, radius)
         sel = table.class_sizes == 4
-        mass_a = float(table.probabilities[sel].sum())
-        mass_b = float(table.probabilities[~sel].sum())
+        prob = probabilities(table)
+        mass_a = float(prob[sel].sum())
+        mass_b = float(prob[~sel].sum())
         records.append({
             "covered": theta0 in hpd,
             "covered_enlarged": theta0 in enlarged,

@@ -1,5 +1,7 @@
 import copy
+import csv
 import hashlib
+import io
 import math
 import tracemalloc
 import warnings
@@ -42,7 +44,7 @@ from bisect_bayes.posterior import (
     within_edge_counts,
 )
 from bisect_bayes.priors import log_mass_by_class_size
-from table_helpers import table_from_masses
+from table_helpers import log_unnormalized, probabilities, table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -238,7 +240,7 @@ class TestExactPosterior:
         g = sample_graph(LabelVector.from_string("000111"), model, 2)
         for prior in [UNIFORM, BetaBernoulli(2.0, 1.0), UniformClassSize()]:
             table = exact_posterior(g, prior, model)
-            for theta, prob in zip(labelings_of(table), table.probabilities.tolist()):
+            for theta, prob in zip(labelings_of(table), probabilities(table).tolist()):
                 assert prob == pytest.approx(
                     math.exp(log_prior_mass(theta, prior)), rel=1e-10
                 )
@@ -246,7 +248,7 @@ class TestExactPosterior:
     def test_n1_point_mass(self):
         table = exact_posterior(Graph(1, []), UNIFORM, EdgeModel(0.5, 0.5))
         assert len(table) == 1
-        assert table.probabilities[0] == pytest.approx(1.0, abs=1e-15)
+        assert probabilities(table)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_rational_oracle_n4(self):
         # exact rational posterior with Fraction arithmetic
@@ -282,8 +284,8 @@ class TestExactPosterior:
         g = sample_graph(LabelVector(n, 0), model, 77)
         table = exact_posterior(g, prior, model)
         assert len(table) == 1 << (n - 1)
-        assert abs(float(table.probabilities.sum()) - 1.0) < 1e-10
-        assert (table.probabilities >= 0).all()
+        assert abs(float(probabilities(table).sum()) - 1.0) < 1e-10
+        assert (probabilities(table) >= 0).all()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 12])
     @pytest.mark.parametrize("prior, p, q", [
@@ -296,9 +298,9 @@ class TestExactPosterior:
         model = EdgeModel(p, q)
         g = sample_graph(canonicalize([v % 2 for v in range(n)]), model, 5)
         table = exact_posterior(g, prior, model)
-        assert np.array_equal(table.log_unnormalized, per_labeling_log_mass(g, prior, model))
-        direct = np.exp(table.log_unnormalized - table.log_normalizer)
-        assert np.array_equal(table.probabilities, direct)
+        assert np.array_equal(log_unnormalized(table), per_labeling_log_mass(g, prior, model))
+        direct = np.exp(log_unnormalized(table) - table.log_normalizer)
+        assert np.array_equal(probabilities(table), direct)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_lookup_finds_every_labeling(self, n):
@@ -313,7 +315,7 @@ class TestExactPosterior:
         thetas = labelings_of(table)
         got = [table.probability(theta) for theta in thetas]
         assert "level" not in vars(table)
-        assert got == [table.probabilities[canonical_index(theta)] for theta in thetas]
+        assert got == [probabilities(table)[canonical_index(theta)] for theta in thetas]
 
     def test_class_sizes_are_not_copied(self):
         # every table of n vertices shares the cached class-size array
@@ -377,36 +379,37 @@ def fsum_oracle(table, mask):
     log_unnormalized value, by np.unique over the per-labeling arrays, then
     summed by the fsum rule (count times exp of the shifted value, and
     count times probability)."""
-    values, first, counts = np.unique(table.log_unnormalized[mask],
+    values, first, counts = np.unique(log_unnormalized(table)[mask],
                                       return_index=True, return_counts=True)
     if len(values) == 0:
         return -math.inf, 0.0
     mx = float(values.max())
     log_mass = mx + math.log(math.fsum((np.exp(values - mx) * counts).tolist()))
-    return log_mass, math.fsum((table.probabilities[mask][first] * counts).tolist())
+    return log_mass, math.fsum((probabilities(table)[mask][first] * counts).tolist())
 
 
 def pairwise_sums(table, mask):
     """The per-labeling sums in numpy's pairwise order."""
     if not mask.any():
         return -math.inf, 0.0
-    lu = table.log_unnormalized[mask]
+    lu = log_unnormalized(table)[mask]
     mx = float(lu.max())
     return (mx + math.log(float(np.sum(np.exp(lu - mx)))),
-            float(table.probabilities[mask].sum()))
+            float(probabilities(table)[mask].sum()))
 
 
 class TestMaskedMass:
     @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
     def test_bit_for_bit_per_labeling_reduction(self, kind):
         table = reduction_tables()[kind]
+        prob = probabilities(table)
         rng = np.random.default_rng(3)
         masks = [
             np.zeros(len(table), dtype=bool),
             np.ones(len(table), dtype=bool),
             table.class_sizes == 0,
             table.class_sizes != 0,
-            table.probabilities < np.median(table.probabilities),
+            prob < np.median(prob),
         ] + [rng.random(len(table)) < d for d in (0.001, 0.3, 0.9)]
         for mask in masks:
             got = table.masked_mass(mask)
@@ -432,7 +435,7 @@ class TestMaskedMass:
         tables = list(reduction_tables().values())
         tied = tables[2]
         # each distinct (class size, mass) is a level
-        tables.append(table_from_masses(tied.n, tied.log_unnormalized))
+        tables.append(table_from_masses(tied.n, log_unnormalized(tied)))
         for table in tables:
             for m in range(table.n // 2 + 1):
                 mask = table.class_sizes == m
@@ -469,8 +472,6 @@ class TestPerLabelingArraysOnDemand:
         assert cli.main([argv[0], "--graph", str(graph), "--prior", "bernoulli:r=0.5",
                          "--p", "0.7", "--q", "0.2", *argv[1:]]) == 0
         assert len(tables) == 1 and len(tables[0]) == 1 << 15
-        assert "probabilities" not in vars(tables[0])
-        assert "log_unnormalized" not in vars(tables[0])
         # class-size tests read the level counts alone, and a small
         # credible set is found from the key-order levels
         assert "level" not in vars(tables[0])
@@ -501,7 +502,7 @@ class TestPerLabelingArraysOnDemand:
 
     def test_arrays_are_built_once_and_read_only(self):
         table = reduction_tables()["flat"]
-        for name in ("probabilities", "log_unnormalized"):
+        for name in ("level", "words", "class_sizes"):
             assert getattr(table, name) is getattr(table, name)
             assert not getattr(table, name).flags.writeable
 
@@ -539,11 +540,12 @@ class TestPosteriorMass:
         theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
         model = EdgeModel(p, q)
         table = exact_posterior(sample_graph(theta0, model, n), prior, model)
+        prob = probabilities(table)
         for center in enumerate_labelings(n):
             k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
             folded = np.minimum(k, n - k)
             for radius in range(-1, n // 2 + 3):
-                scan = float(table.probabilities[folded < radius].sum())
+                scan = float(prob[folded < radius].sum())
                 assert table.mass_of_ball(center, radius) == scan
 
     def test_small_ball_builds_no_per_labeling_array(self):
@@ -551,7 +553,7 @@ class TestPosteriorMass:
         theta0 = canonicalize([v < 5 for v in range(18)])
         table = exact_posterior(sample_graph(theta0, model, 0), UNIFORM, model)
         table.mass_of_ball(theta0, 3)
-        assert not {"level", "probabilities", "log_unnormalized"} & set(vars(table))
+        assert "level" not in vars(table)
 
     def test_class_size_predicate(self, table):
         direct = table.masked_mass(mask_of(table, lambda t: t.m == 2))[1]
@@ -587,14 +589,14 @@ class TestPosteriorMode:
 
     @staticmethod
     def argmax_oracle(table):
-        return LabelVector(table.n, int(table.words[int(np.argmax(table.probabilities))]))
+        return LabelVector(table.n, int(table.words[int(np.argmax(probabilities(table)))]))
 
     @pytest.mark.parametrize("kind", ["sharp", "flat", "tied", "far"])
     def test_matches_argmax_oracle(self, kind):
         table = reduction_tables()[kind]
         mode = table.mode()
         # the mode is read from the levels and the key-order level array
-        assert "level" not in vars(table) and "probabilities" not in vars(table)
+        assert "level" not in vars(table)
         assert mode == self.argmax_oracle(table)
 
     @pytest.mark.parametrize("n", [*range(1, 11), 16, 18])
@@ -614,7 +616,8 @@ class TestPosteriorMode:
         # most probable labelings both put vertex 0 at label 1
         model = EdgeModel(0.1, 0.8)
         table = exact_posterior(Graph(5, [(0, 3), (0, 4), (1, 2)]), UNIFORM, model)
-        top = np.flatnonzero(table.probabilities == table.probabilities.max())
+        prob = probabilities(table)
+        top = np.flatnonzero(prob == prob.max())
         assert len(top) == 2 and all(table.words[top] & 1)
         assert table.mode() == self.argmax_oracle(table)
 
@@ -622,9 +625,9 @@ class TestPosteriorMode:
         model = EdgeModel(0.8, 0.3)
         g = sample_graph(LabelVector.from_string("000111"), model, 5)
         table = exact_posterior(g, UNIFORM, model)
-        scaled = table_from_masses(table.n, table.log_unnormalized + 123.45)
+        scaled = table_from_masses(table.n, log_unnormalized(table) + 123.45)
         assert scaled.mode() == table.mode()
-        assert np.allclose(scaled.probabilities, table.probabilities, atol=1e-12)
+        assert np.allclose(probabilities(scaled), probabilities(table), atol=1e-12)
 
     def test_mode_recovers_planted_labeling(self):
         model = EdgeModel(0.9, 0.05)
@@ -646,8 +649,6 @@ class TestPosteriorMode:
 
 class TestCsvOutput:
     def test_sorted_by_probability_then_labeling(self, tmp_path):
-        import csv
-
         model = EdgeModel(0.75, 0.2)
         g = sample_graph(LabelVector.from_string("00011"), model, 9)
         table = exact_posterior(g, UNIFORM, model)
@@ -662,6 +663,40 @@ class TestCsvOutput:
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
         keys = [(-float(r["probability"]), r["labeling"]) for r in rows]
         assert keys == sorted(keys)
+
+    @staticmethod
+    def per_labeling_csv(table):
+        """Reference CSV: csv.writer over each labeling's own string, log
+        mass and probability, in the stable descending order."""
+        prob = probabilities(table)
+        order = np.argsort(-prob, kind="stable")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["labeling", "log_unnormalized", "probability"])
+        writer.writerows(
+            (LabelVector(table.n, word).to_string(), repr(log_mass), repr(p))
+            for word, log_mass, p in zip(table.words[order].tolist(),
+                                         log_unnormalized(table)[order].tolist(),
+                                         prob[order].tolist()))
+        return out.getvalue()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("p, q, prior", [
+        (0.7, 0.2, UNIFORM),
+        (0.5, 0.45, UniformClassSize()),
+        (0.4, 0.4, UNIFORM),
+        (0.8, 0.3, BetaBernoulli(1.5, 2.5)),
+    ], ids=["sharp", "flat", "tied", "beta"])
+    def test_chunks_match_per_labeling_writer(self, n, p, q, prior, monkeypatch):
+        # five rows to a chunk, so that tie groups straddle chunk boundaries
+        monkeypatch.setattr(posterior, "_STRING_CHUNK", 5)
+        monkeypatch.setattr("bisect_bayes.model._STRING_CHUNK", 5)
+        model = EdgeModel(p, q)
+        theta0 = LabelVector.from_string("0" * (n - n // 3) + "1" * (n // 3))
+        table = exact_posterior(sample_graph(theta0, model, n), prior, model)
+        out = io.StringIO()
+        table.write_csv(out)
+        assert out.getvalue() == self.per_labeling_csv(table)
 
 
 class TestMcmc:
