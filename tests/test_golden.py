@@ -45,9 +45,11 @@ CAP_GRAPHS = {
 MCMC_GRAPHS = ("n14-sharp",)
 # coverage-tied (p == q) leaves two or three large probability groups, the
 # last of them partly taken; coverage-n20 is a flat coverage near the cap;
-# recovery-mcmc lies past the cap, so its replications run the sampler
+# bound-check-n20 plants uniformly over the whole labeling space near the
+# cap; recovery-mcmc lies past the cap, so its replications run the sampler
 EXPERIMENTS = ("coverage-flat", "coverage-r2", "coverage-tied", "coverage-n20", "test-error",
-               "bound-check", "recovery", "recovery-mcmc", "phase-diagram")
+               "bound-check", "bound-check-n20", "recovery", "recovery-mcmc",
+               "phase-diagram")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
