@@ -11,6 +11,7 @@ from .bounds import (
     hellinger_affinity,
     inequality_suite,
     neg_log_affinity,
+    pairwise_mass_bound,
     point_tail_bound_dense,
     point_tail_bound_uniform,
     rho_upper_bound,
@@ -49,7 +50,6 @@ from .model import (
     derive_rng,
     discrepancy_sets,
     edge_probs_from_sparsity,
-    enumerate_labelings,
     hamming,
     log_likelihood,
     log_likelihood_ratio,

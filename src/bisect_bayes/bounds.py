@@ -13,7 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import EdgeModel, LabelVector, hamming
+from .model import EdgeModel, LabelVector, hamming, num_labelings
+from .posterior import log_sum_exp
 from .priors import PriorSpec, log_mass_by_class_size
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "rho_upper_bound",
     "neg_log_affinity",
     "expected_mass_bound",
+    "pairwise_mass_bound",
     "point_tail_bound_uniform",
     "point_tail_bound_dense",
     "ch_recovery_margin",
@@ -85,6 +87,17 @@ def neg_log_affinity(model: EdgeModel) -> float:
     return -math.log(hellinger_affinity(model.p, model.q))
 
 
+def _mass_bound(
+    theta: LabelVector, b: int, counts: np.ndarray, prior: PriorSpec, model: EdgeModel
+) -> float:
+    """affinity^b times the sum of sqrt prior-mass ratios to theta over a
+    set holding counts[m'] labelings of each class size m'."""
+    log_mass = np.asarray(log_mass_by_class_size(prior, theta.n))
+    half = 0.5 * (log_mass - log_mass[theta.m])
+    rho = hellinger_affinity(model.p, model.q)
+    return math.exp(b * math.log(rho) + log_sum_exp(half, counts))
+
+
 def expected_mass_bound(
     theta: LabelVector,
     s: Iterable[LabelVector],
@@ -101,21 +114,31 @@ def expected_mass_bound(
     if not members:
         raise ValueError("target set must be nonempty")
     n = theta.n
-    log_mass = np.asarray(log_mass_by_class_size(prior, n))
-    b = None
-    half_log_ratios = []
-    lm_theta = float(log_mass[theta.m])
-    for eta in members:
-        k = hamming(theta, eta)
-        if k == 0:
-            raise ValueError("target set must not contain theta")
-        b = k * (n - k) if b is None else min(b, k * (n - k))
-        half_log_ratios.append(0.5 * (float(log_mass[eta.m]) - lm_theta))
-    arr = np.array(half_log_ratios)
-    mx = float(arr.max())
-    log_sum = mx + math.log(float(np.sum(np.exp(arr - mx))))
-    rho = hellinger_affinity(model.p, model.q)
-    return math.exp(b * math.log(rho) + log_sum)
+    distances = [hamming(theta, eta) for eta in members]
+    if 0 in distances:
+        raise ValueError("target set must not contain theta")
+    b = min(k * (n - k) for k in distances)
+    counts = np.bincount([eta.m for eta in members], minlength=n // 2 + 1)
+    return _mass_bound(theta, b, counts, prior, model)
+
+
+def pairwise_mass_bound(theta: LabelVector, prior: PriorSpec, model: EdgeModel) -> float:
+    """expected_mass_bound over every canonical labeling other than theta,
+    summed over class sizes.
+
+    The prior mass of a labeling depends on it only through its class size,
+    so the sum runs over the n//2 + 1 class sizes, each weighted by its
+    number of labelings. B is n - 1: flipping one vertex of theta gives a
+    labeling whose canonical form lies one flip or n - 1 flips away, and
+    every other labeling lies at a distance k with k(n - k) >= n - 1.
+    """
+    n = theta.n
+    # float64, since the counts leave the int64 range past n = 66
+    counts = np.array([num_labelings(n, m) - (m == theta.m) for m in range(n // 2 + 1)],
+                      dtype=np.float64)
+    if not counts.any():
+        raise ValueError("target set must be nonempty")
+    return _mass_bound(theta, n - 1, counts, prior, model)
 
 
 def point_tail_bound_uniform(n: int, alpha: float) -> BoundReport:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "LikelihoodRatioStats",
     "canonicalize",
     "label_strings",
-    "enumerate_labelings",
     "canonical_words",
     "canonical_order",
     "check_enumerable",
@@ -374,19 +373,6 @@ def num_labelings(n: int, m: int | None = None) -> int:
     return math.comb(n, m)
 
 
-def enumerate_labelings(n: int, m: int | None = None) -> Iterator[LabelVector]:
-    """Yield every canonical labeling once, in lexicographic bit order.
-
-    ``m`` restricts to a single smaller-class size. Rejects n above the
-    enumeration cap as a resource guard.
-    """
-    words, ms = canonical_words(n)
-    if m is not None:
-        words = words[ms == m]
-    for w in words:
-        yield LabelVector(n, int(w))
-
-
 def _check_same_n(theta: LabelVector, eta: LabelVector) -> None:
     if theta.n != eta.n:
         raise ValueError(f"vertex counts differ: {theta.n} vs {eta.n}")
@@ -620,23 +606,14 @@ def sample_graph(
 
 def _edge_split(theta: LabelVector, x: Graph) -> tuple[int, int]:
     """(within-class edge count, within-class pair count) for theta on x."""
-    ei, ej = x.edge_index_arrays
-    if theta.n <= 63:
-        w = np.uint64(theta.word)
-        if len(ei):
-            diff = ((w >> ei.astype(np.uint64)) ^ (w >> ej.astype(np.uint64))) & np.uint64(1)
-            within_edges = int(len(ei) - int(diff.sum()))
-        else:
-            within_edges = 0
-    else:  # word exceeds uint64; plain bit arithmetic
-        w = theta.word
-        within_edges = sum(
-            1 for i, j in x.edges if ((w >> i) ^ (w >> j)) & 1 == 0
-        )
+    w = theta.word
+    # each split edge has one endpoint labeled 1; count it from there
+    split_edges = sum((mask & ~w).bit_count()
+                      for v, mask in enumerate(x.neighbor_masks) if w >> v & 1)
     m = theta.m
     n = theta.n
     within_pairs = m * (m - 1) // 2 + (n - m) * (n - m - 1) // 2
-    return within_edges, within_pairs
+    return x.num_edges - split_edges, within_pairs
 
 
 def log_likelihood(theta: LabelVector, x: Graph, model: EdgeModel) -> float:
@@ -691,24 +668,18 @@ def log_likelihood_ratio(
     if theta.n != x.n:
         raise ValueError(f"vertex counts differ: labeling {theta.n}, graph {x.n}")
     d1, d2 = discrepancy_sets(theta, eta)
-    ei, ej = x.edge_index_arrays
+    # an edge is within-class under one labeling and split under the other
+    # exactly when it joins a vertex where they differ to one where they
+    # agree; count it from the first, by whether theta splits it
+    tw = theta.word
+    diff = tw ^ eta.word
     s = t = 0
-    if len(ei) and theta.n <= 63:
-        tw = np.uint64(theta.word)
-        ew = np.uint64(eta.word)
-        eiu = ei.astype(np.uint64)
-        eju = ej.astype(np.uint64)
-        theta_same = (((tw >> eiu) ^ (tw >> eju)) & np.uint64(1)) == 0
-        eta_same = (((ew >> eiu) ^ (ew >> eju)) & np.uint64(1)) == 0
-        s = int(np.count_nonzero(theta_same & ~eta_same))
-        t = int(np.count_nonzero(~theta_same & eta_same))
-    elif len(ei):
-        tw, ew = theta.word, eta.word
-        for i, j in x.edges:
-            t_same = ((tw >> i) ^ (tw >> j)) & 1 == 0
-            e_same = ((ew >> i) ^ (ew >> j)) & 1 == 0
-            s += t_same and not e_same
-            t += e_same and not t_same
+    for v, mask in enumerate(x.neighbor_masks):
+        if diff >> v & 1:
+            crossing = mask & ~diff
+            split = (crossing & ~tw if tw >> v & 1 else crossing & tw).bit_count()
+            s += crossing.bit_count() - split
+            t += split
     p, q = model.p, model.q
     lam = math.log1p(-p) - math.log(p) + math.log(q) - math.log1p(-q)
     ratio = (s - t) * lam + (d1 - d2) * (math.log1p(-q) - math.log1p(-p))

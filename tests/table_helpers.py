@@ -1,9 +1,9 @@
-"""Posterior tables built from per-labeling masses, and per-labeling
-masses read from posterior tables, for tests."""
+"""Posterior tables built from per-labeling masses, per-labeling masses
+read from posterior tables, and the labelings themselves, for tests."""
 
 import numpy as np
 
-from bisect_bayes.model import _half_split, canonical_words
+from bisect_bayes.model import LabelVector, _half_split, canonical_words
 from bisect_bayes.posterior import _CHUNK_BITS, PosteriorTable
 
 
@@ -41,3 +41,14 @@ def log_unnormalized(table):
     """Per labeling, in index order, the log of its unnormalized posterior
     mass: its level's."""
     return table._level_log_mass[table.level]
+
+
+def enumerate_labelings(n, m=None):
+    """Yield every canonical labeling once, in lexicographic bit order (the
+    order of canonical_words). ``m`` restricts to a single smaller-class
+    size. Refuses n above the enumeration cap, as canonical_words does."""
+    words, class_sizes = canonical_words(n)
+    if m is not None:
+        words = words[class_sizes == m]
+    for w in words:
+        yield LabelVector(n, int(w))

@@ -26,7 +26,6 @@ from bisect_bayes import (
     derive_rng,
     discrepancy_sets,
     enlarge,
-    enumerate_labelings,
     exact_posterior,
     expected_mass_bound,
     hamming,
@@ -46,7 +45,7 @@ from bisect_bayes.priors import (
     bernoulli_ratio_sandwich_violations,
     beta_ratio_bound_violations,
 )
-from table_helpers import probabilities
+from table_helpers import enumerate_labelings, probabilities
 
 UNIFORM = FixedBernoulli(0.5)
 

@@ -5,27 +5,30 @@ import numpy as np
 import pytest
 
 from bisect_bayes import (
+    BetaBernoulli,
     EdgeModel,
     FixedBernoulli,
     Graph,
     LabelVector,
+    UniformClassSize,
     ball_tail_bound,
     ball_tail_bound_ks,
     ch_recovery_margin,
     detectability_sandwich,
     discrepancy_sets,
-    enumerate_labelings,
     exact_posterior,
     expected_mass_bound,
     hellinger_affinity,
     inequality_suite,
     log_likelihood,
     neg_log_affinity,
+    pairwise_mass_bound,
     point_tail_bound_dense,
     point_tail_bound_uniform,
     rho_upper_bound,
     sample_graph,
 )
+from table_helpers import enumerate_labelings
 
 UNIFORM = FixedBernoulli(0.5)
 
@@ -126,6 +129,49 @@ class TestExpectedMassBound:
         mean = float(np.mean(tails))
         se = float(np.std(tails, ddof=1) / math.sqrt(reps))
         assert mean <= bound + 3 * se
+
+
+PAIRWISE_PRIORS = (UNIFORM, FixedBernoulli(0.15), BetaBernoulli(1.0, 1.0),
+                   BetaBernoulli(0.5, 3.0), UniformClassSize())
+# sharp, flat, p == q (affinity 1) and sparse
+PAIRWISE_MODELS = (EdgeModel(0.7, 0.2), EdgeModel(0.5, 0.45), EdgeModel(0.3, 0.3),
+                   EdgeModel(0.05, 0.01))
+
+
+def _pairwise_thetas():
+    """Every labeling at n <= 8, and one per class size at n = 9..12."""
+    for n in range(2, 9):
+        labs = list(enumerate_labelings(n))
+        for theta in labs:
+            yield theta, labs
+    for n in range(9, 13):
+        labs = list(enumerate_labelings(n))
+        for m in range(n // 2 + 1):
+            yield next(t for t in labs if t.m == m), labs
+
+
+class TestPairwiseMassBound:
+    def test_matches_the_bound_over_every_other_labeling(self):
+        for theta, labs in _pairwise_thetas():
+            others = [t for t in labs if t != theta]
+            for prior, model in itertools.product(PAIRWISE_PRIORS, PAIRWISE_MODELS):
+                closed = pairwise_mass_bound(theta, prior, model)
+                looped = expected_mass_bound(theta, others, prior, model)
+                assert math.isclose(closed, looped, rel_tol=1e-12), (theta, prior, model)
+
+    def test_rejects_the_one_labeling_of_one_vertex(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            pairwise_mass_bound(LabelVector(1, 0), UNIFORM, EdgeModel(0.5, 0.4))
+
+    def test_p_equals_q_counts_the_other_labelings(self):
+        n = 40
+        theta = LabelVector(n, (1 << 7) - 1)
+        bound = pairwise_mass_bound(theta, UniformClassSize(), EdgeModel(0.4, 0.4))
+        # under the uniform class-size prior each ratio is
+        # sqrt(count(7) / count(m')), so the sum is sum_m' sqrt(count(7) count(m')) - 1
+        counts = [math.comb(n, m) // (2 if 2 * m == n else 1) for m in range(n // 2 + 1)]
+        expected = sum(math.sqrt(counts[7] * c) for c in counts) - 1
+        assert math.isclose(bound, expected, rel_tol=1e-12)
 
 
 class TestPointTailBounds:

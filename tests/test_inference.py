@@ -17,7 +17,6 @@ from bisect_bayes import (
     class_size_test,
     confidence_lower_bound,
     enlarge,
-    enumerate_labelings,
     exact_posterior,
     hpd_credible_set,
     odds_error_bounds,
@@ -27,7 +26,7 @@ from bisect_bayes import (
 )
 from bisect_bayes import inference
 from bisect_bayes.model import canonical_index
-from table_helpers import log_unnormalized, probabilities, table_from_masses
+from table_helpers import enumerate_labelings, log_unnormalized, probabilities, table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
 

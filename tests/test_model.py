@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from bisect_bayes import (
     derive_rng,
     discrepancy_sets,
     edge_probs_from_sparsity,
-    enumerate_labelings,
     hamming,
     log_likelihood,
     log_likelihood_ratio,
@@ -33,6 +32,7 @@ from bisect_bayes.model import (
     half_cube_words,
     label_strings,
 )
+from table_helpers import enumerate_labelings
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=16)
 
@@ -450,6 +450,49 @@ class TestLogLikelihoodRatio:
         assert stats.lam == pytest.approx(
             math.log(0.2 / 0.8) + math.log(0.3 / 0.7), rel=1e-12
         )
+
+
+def per_edge_counts(theta, eta, x: Graph):
+    """(within-class edges under theta, s, t, d1, d2) by one test per edge
+    and per vertex pair: s and t count the edges within-class under one
+    labeling and split under the other, d1 and d2 the pairs."""
+    tb, eb = theta.bits, eta.bits
+
+    def split_by(pairs):
+        first = sum(tb[i] == tb[j] and eb[i] != eb[j] for i, j in pairs)
+        second = sum(tb[i] != tb[j] and eb[i] == eb[j] for i, j in pairs)
+        return first, second
+
+    within = sum(tb[i] == tb[j] for i, j in x.edges)
+    s, t = split_by(x.edges)
+    d1, d2 = split_by(list(combinations(range(x.n), 2)))
+    return within, s, t, d1, d2
+
+
+class TestEdgeCountsAgainstPerEdgeReference:
+    # from n = 64 on, a labeling word needs more than 63 bits
+    @pytest.mark.parametrize("n", [5, 40, 63, 64, 100])
+    def test_within_edges_and_ratio_statistics(self, n):
+        rng = derive_rng(n)
+        model = EdgeModel(0.3, 0.1)
+        x = sample_graph(canonicalize(rng.integers(0, 2, n).tolist()), model, rng)
+        thetas = [canonicalize(rng.integers(0, 2, n).tolist()) for _ in range(8)]
+        # a labeling next to itself, and one vertex flipped
+        flipped = canonicalize([1 - b if v == 0 else b for v, b in enumerate(thetas[0].bits)])
+        pairs = list(zip(thetas, thetas[1:])) + [(thetas[0], thetas[0]),
+                                                 (thetas[0], flipped)]
+        for theta, eta in pairs:
+            within, s, t, d1, d2 = per_edge_counts(theta, eta, x)
+            assert model_module._edge_split(theta, x)[0] == within
+            _, stats = log_likelihood_ratio(theta, eta, x, model)
+            assert (stats.s, stats.t, stats.d1, stats.d2) == (s, t, d1, d2)
+
+    def test_graph_without_edges(self):
+        theta, eta = LabelVector.from_string("00011"), LabelVector.from_string("00101")
+        x = Graph(5, [])
+        assert model_module._edge_split(theta, x) == (0, 4)
+        _, stats = log_likelihood_ratio(theta, eta, x, EdgeModel(0.5, 0.4))
+        assert (stats.s, stats.t) == (0, 0)
 
 
 class TestDeriveRng:

@@ -21,7 +21,6 @@ from bisect_bayes import (
     UniformClassSize,
     canonicalize,
     class_size_marginal,
-    enumerate_labelings,
     exact_posterior,
     log_likelihood,
     log_prior_mass,
@@ -44,7 +43,7 @@ from bisect_bayes.posterior import (
     within_edge_counts,
 )
 from bisect_bayes.priors import log_mass_by_class_size
-from table_helpers import log_unnormalized, probabilities, table_from_masses
+from table_helpers import enumerate_labelings, log_unnormalized, probabilities, table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
 

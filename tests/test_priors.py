@@ -14,7 +14,6 @@ from bisect_bayes import (
     FixedBernoulli,
     UniformClassSize,
     class_size_marginal,
-    enumerate_labelings,
     g_constant,
     log_prior_mass,
     parse_prior,
@@ -27,6 +26,7 @@ from bisect_bayes.priors import (
     bernoulli_ratio_sandwich_violations,
     beta_ratio_bound_violations,
 )
+from table_helpers import enumerate_labelings
 
 ROOT = Path(__file__).resolve().parent.parent
 
