@@ -15,7 +15,6 @@ from .model import (
     Graph,
     LabelVector,
     ball_keys,
-    ball_size,
     canonical_index,
     canonical_positions,
     canonical_words,
@@ -195,8 +194,6 @@ class EnlargedSet(_LabelingSet):
         if self.radius > self.n // 2:
             # no folded distance exceeds n // 2, so the ball is everything
             return True
-        if _BALL_MEMBERSHIP_SHARE * ball_size(self.n, self.radius) > 1 << (self.n - 1):
-            return bool(self.mask[canonical_index(theta)])
         return bool(self.base._rule.holds_keys(ball_keys(theta, self.radius)).any())
 
     def member_words(self) -> np.ndarray:
@@ -247,15 +244,6 @@ class EnlargedSet(_LabelingSet):
 # 22 (0.01-0.8x). From a share of about 1/3 it takes 1.6-4.4x as long at
 # every size (at n = 22 and 0.64, 126 ms against 29-53 ms).
 _SMALL_SET = 32
-
-# An enlargement answers membership from theta's ball while the ball is
-# listed in at most 1/_BALL_MEMBERSHIP_SHARE as many words as there are
-# labelings, and from its mask above that. Timed on flat graphs at n = 12
-# to 22, the ball is the faster at every size (at n = 22, 3.5-23 ms against
-# 88-330 ms for radii 2 to 10); the bound keeps its arrays, about 40 bytes
-# per word listed, near the size of those the mask takes. (The table sums a
-# ball's mass by its own share, posterior._BALL_SHARE: ball against scan.)
-_BALL_MEMBERSHIP_SHARE = 2
 
 # Relative rounding of the group mass sums is at most about 1e-16 times the
 # number of labelings, below 1e-9 up to the enumeration cap.

@@ -497,12 +497,11 @@ def _is_json_int(value) -> bool:
 class Graph:
     """Undirected simple graph on n vertices. Immutable after construction.
 
-    Edges are unordered pairs {i, j}, i != j, stored sorted. Exposes numpy
-    index arrays and per-vertex neighbor bitmasks for the likelihood hot
-    paths.
+    Edges are unordered pairs {i, j}, i != j, stored sorted. Exposes
+    per-vertex neighbor bitmasks for the likelihood hot paths.
     """
 
-    __slots__ = ("n", "edges", "_ei", "_ej", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -516,10 +515,6 @@ class Graph:
             norm.add((i, j) if i < j else (j, i))
         self.n = n
         self.edges = tuple(sorted(norm))
-        ei = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        ej = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        self._ei = ei
-        self._ej = ej
         masks = [0] * n
         for i, j in self.edges:
             masks[i] |= 1 << j
@@ -529,10 +524,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._ei, self._ej
 
     @property
     def neighbor_masks(self) -> tuple[int, ...]:

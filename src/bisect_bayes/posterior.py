@@ -20,6 +20,7 @@ import numpy as np
 
 from .model import (
     _STRING_CHUNK,
+    _half_split,
     EdgeModel,
     Graph,
     LabelVector,
@@ -164,12 +165,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# A ball listed in more words than 1/_BALL_SHARE of the labelings is summed
-# by a scan over every labeling instead. Timed on flat graphs, the listing
-# is the faster up to a share of about 1/10 at n = 14 and 1/4 at n = 18
-# and 22 (at n = 22 and radius 3, 0.07 ms against 24 ms); at n = 12 both
-# take 25-40 us. (Set membership by ball has its own share,
-# inference._BALL_MEMBERSHIP_SHARE: ball against mask.)
+# A ball listed in more words than 1/_BALL_SHARE of the labelings is found
+# by a scan over the half-cube keys instead. Timed on flat graphs (warm,
+# best of 7), the listing is the faster up to a share of about 1/20 at
+# n = 18 and 22 (at n = 22 and 0.05, 2.1 ms against 3.7 ms), the two are
+# even near 1/10, and the scan is the faster above (at n = 22, 4.6 ms
+# against 6.3 ms at 0.13 and 11 ms against 68 ms at 0.83); at n = 12 and
+# 14 both take under 0.2 ms.
 _BALL_SHARE = 8
 
 
@@ -185,7 +187,7 @@ class PosteriorTable:
     count. It reports the mass of a set of labelings as a count-weighted sum
     over levels (see masked_mass).
 
-    Point lookups, class-size masses, the mode and small balls read the
+    Point lookups, class-size masses, the mode and ball masses read the
     key-order levels and the level arrays alone. The only arrays over the
     canonical index, its ``words`` and ``class_sizes``
     (model.canonical_words) and the canonical ``level``, are built when
@@ -305,20 +307,28 @@ class PosteriorTable:
         """Mass of labelings with complement-folded distance < radius.
 
         A ball listed in at most 1/_BALL_SHARE as many words as there are
-        labelings is listed by model.ball_keys: its distinct labelings, in
-        index order, are summed by their level probabilities. A larger ball
-        is found by scanning every labeling; both sum the same float64
-        values in the same order.
+        labelings is listed by model.ball_keys, and its distinct labelings
+        are put in index order. A larger ball is found by scanning the
+        half-cube keys, since folded distance is the same between two keys
+        as between their words, and its levels are put in index order by
+        model.canonical_order's rule. Both sum the same float64 values in
+        the same order, and neither reads the canonical index.
         """
         if center.n != self.n:
             raise ValueError(f"vertex counts differ: {center.n} vs {self.n}")
         if _BALL_SHARE * ball_size(self.n, radius) <= len(self):
             keys = ball_keys(center, radius)
             _, first = np.unique(canonical_positions(keys, self.n), return_index=True)
-            return float(self._level_prob[self.levels_at(keys[first])].sum())
-        k = np.bitwise_count(self.words ^ np.uint32(center.word)).astype(np.int64)
-        sym = np.minimum(k, self.n - k)
-        return float(self._level_prob[self.level[sym < radius]].sum())
+            levels = self.levels_at(keys[first])
+        else:
+            k = np.arange(len(self), dtype=np.uint32)
+            k ^= np.uint32(half_cube_key(center))
+            k = np.bitwise_count(k)
+            near = np.minimum(k, self.n - k) < radius
+            low = _half_split(self.n)
+            levels = np.concatenate((self._half_level[near & low],
+                                     self._half_level[near & ~low][::-1]))
+        return float(self._level_prob[levels].sum())
 
     def inclusion_probabilities(self) -> np.ndarray:
         """Posterior probability that each vertex carries label 1."""

@@ -48,7 +48,7 @@ MCMC_GRAPHS = ("n14-sharp",)
 # bound-check-n20 plants uniformly over the whole labeling space near the
 # cap; recovery-mcmc lies past the cap, so its replications run the sampler;
 # coverage-wide (radius 6 at n = 12) and bound-check-wide (ball radius 5)
-# ask about balls that hold 3/4 and 3/8 of the labelings
+# ask about balls that hold about 3/4 and 2/5 of the labelings
 EXPERIMENTS = ("coverage-flat", "coverage-r2", "coverage-tied", "coverage-n20",
                "coverage-wide", "test-error", "bound-check", "bound-check-n20",
                "bound-check-wide", "recovery", "recovery-mcmc", "phase-diagram")

@@ -331,9 +331,8 @@ def membership_table(kind, n):
 class TestMembershipWithoutMasks:
     @pytest.mark.parametrize("kind", ["sharp", "flat", "tied"])
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_membership_matches_mask(self, n, kind, monkeypatch):
+    def test_membership_matches_mask(self, n, kind):
         # every enlargement is answered from the ball, however large
-        monkeypatch.setattr(inference, "_BALL_MEMBERSHIP_SHARE", 0)
         thetas = list(enumerate_labelings(n))
         for gamma in (0.05, 0.3, 0.7):
             table = membership_table(kind, n)
@@ -346,10 +345,9 @@ class TestMembershipWithoutMasks:
             for s, got in zip(sets, answers):
                 assert got == [bool(s.mask[canonical_index(t)]) for t in thetas]
 
-    def test_table_from_the_constructor(self, monkeypatch):
+    def test_table_from_the_constructor(self):
         # a table whose levels are every distinct (class size, mass), not
         # (m, s): membership, masks and balls read them by key all the same
-        monkeypatch.setattr(inference, "_BALL_MEMBERSHIP_SHARE", 0)
         table = hpd_table("unleveled")
         thetas = list(enumerate_labelings(table.n))
         for gamma in (0.01, 0.5):
@@ -365,16 +363,18 @@ class TestMembershipWithoutMasks:
             scan = float(prob[np.minimum(k, 12 - k) < radius].sum())
             assert table.mass_of_ball(center, radius) == scan
 
-    def test_large_ball_reads_the_mask(self):
+    def test_large_ball_reads_no_mask(self):
         # a ball of radius 6 at n = 12 is listed in 1586 words, more than
-        # half the 2048 labelings
-        hpd = hpd_credible_set(membership_table("flat", 12), 0.3)
+        # half the 2048 labelings, and is still answered from its keys
+        table = membership_table("flat", 12)
+        hpd = hpd_credible_set(table, 0.3)
         wide = enlarge(hpd, 6)
         thetas = list(enumerate_labelings(12))
-        assert thetas[0] in wide
-        assert "mask" in vars(wide)
+        got = [theta in wide for theta in thetas]
+        assert "mask" not in vars(wide)
+        assert "words" not in vars(table) and "level" not in vars(table)
         oracle = scan_enlarge(hpd, 6)
-        assert [theta in wide for theta in thetas] == [theta in oracle for theta in thetas]
+        assert got == [theta in oracle for theta in thetas]
 
     def test_tied_sets_take_part_of_their_last_group(self):
         # so that membership there mostly turns on the rank among ties

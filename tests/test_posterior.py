@@ -50,10 +50,9 @@ UNIFORM = FixedBernoulli(0.5)
 
 def edge_loop_counts(x, words):
     """Reference within-class edge counts: one pass over the words per edge."""
-    ei, ej = x.edge_index_arrays
     counts = np.zeros(len(words), dtype=np.int64)
     w = words.astype(np.uint64)
-    for i, j in zip(ei.tolist(), ej.tolist()):
+    for i, j in x.edges:
         counts += (((w >> np.uint64(i)) ^ (w >> np.uint64(j))) & np.uint64(1) == 0)
     return counts
 
@@ -531,21 +530,29 @@ class TestPosteriorMass:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_listed_ball_equals_scan(self, n, monkeypatch):
-        # every ball is listed, and sums the same floats in the same order
-        # as the scan; the graphs go sharp, flat and tied (p == q) with n
-        monkeypatch.setattr(posterior, "_BALL_SHARE", 0)
+        # every ball is listed (share 0), then every nonempty ball is found
+        # by the key scan (share 2^62); each sums the same floats in the
+        # same order as a scan over the canonical words, and neither reads
+        # the canonical index. The graphs go sharp, flat and tied (p == q)
+        # with n
         p, q, prior = ((0.7, 0.2, UNIFORM), (0.5, 0.45, UniformClassSize()),
                        (0.4, 0.4, UNIFORM))[n % 3]
         theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
         model = EdgeModel(p, q)
-        table = exact_posterior(sample_graph(theta0, model, n), prior, model)
-        prob = probabilities(table)
-        for center in enumerate_labelings(n):
-            k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
-            folded = np.minimum(k, n - k)
-            for radius in range(-1, n // 2 + 3):
-                scan = float(prob[folded < radius].sum())
-                assert table.mass_of_ball(center, radius) == scan
+        x = sample_graph(theta0, model, n)
+        centers = list(enumerate_labelings(n))
+        radii = range(-1, n // 2 + 3)
+        for share in (0, 1 << 62):
+            monkeypatch.setattr(posterior, "_BALL_SHARE", share)
+            table = exact_posterior(x, prior, model)
+            got = [[table.mass_of_ball(center, radius) for radius in radii]
+                   for center in centers]
+            assert not {"words", "class_sizes", "level"} & set(vars(table))
+            prob = probabilities(table)
+            for center, masses in zip(centers, got):
+                k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
+                folded = np.minimum(k, n - k)
+                assert masses == [float(prob[folded < radius].sum()) for radius in radii]
 
     def test_small_ball_builds_no_per_labeling_array(self):
         model = EdgeModel(0.7, 0.2)
