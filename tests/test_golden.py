@@ -35,8 +35,9 @@ GRAPHS = {
     "n14-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
 }
 # sharp graphs at odd n and at the enumeration cap (where class size n/2
-# ties), pinned for credible --enlarge 1, test and posterior --mode exact:
-# their posterior CSVs (2^20 and 2^21 rows) are written in many chunks
+# ties), pinned for credible --enlarge 1 and 3, test and posterior --mode
+# exact: their posterior CSVs (2^20 and 2^21 rows) are written in many
+# chunks, and radius 3 dilates the set at the cap
 CAP_GRAPHS = {
     "n21-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
     "n22-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
@@ -70,11 +71,12 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             ["posterior.csv", "marginals.csv"],
         )
         if stem in CAP_GRAPHS:
-            cases[f"{stem}:credible"] = (
-                ["credible", *common, "--gamma", "0.05", "--enlarge", "1",
-                 "--out", "{out}/credible.json"],
-                ["credible.json"],
-            )
+            for radius, suffix in ((1, ""), (3, "-r3")):
+                cases[f"{stem}:credible{suffix}"] = (
+                    ["credible", *common, "--gamma", "0.05", "--enlarge", str(radius),
+                     "--out", "{out}/credible.json"],
+                    ["credible.json"],
+                )
             continue
         if stem in MCMC_GRAPHS:
             cases[f"{stem}:posterior-mcmc"] = (
