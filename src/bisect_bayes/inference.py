@@ -14,8 +14,10 @@ from .model import (
     EdgeModel,
     Graph,
     LabelVector,
+    _half_split,
     ball_keys,
     canonical_index,
+    canonical_order,
     canonical_positions,
     canonical_words,
     half_cube_words,
@@ -39,9 +41,9 @@ __all__ = [
 
 class _LabelingSet:
     """A set of canonical labelings on ``n`` vertices, given by a rule.
-    ``theta in S`` is answered by the rule (``_holds``), which also builds
-    the read-only boolean ``mask`` over canonical_words(n)
-    (``_build_mask``) when it is first read."""
+    ``theta in S`` is answered by the rule (``_holds``). The read-only
+    boolean ``mask`` over canonical_words(n) is built by ``_build_mask``
+    when it is first read, and the member words are read through it."""
 
     n: int
 
@@ -65,16 +67,35 @@ class _LabelingSet:
 
 
 @dataclass(frozen=True, eq=False)
-class _HpdRule:
-    """The labelings an HPD set takes from a table: every labeling more
-    probable than ``cutoff`` (``above`` of them), and of the ``tied``
-    labelings exactly as probable, the first ``taken`` in index order."""
+class CredibleSet(_LabelingSet):
+    """An HPD set of labelings with posterior mass at least 1 - gamma, as
+    built by hpd_credible_set. The set is its own selection rule: every
+    labeling of ``table`` more probable than ``cutoff`` (``above`` of
+    them), and of the ``tied`` labelings exactly as probable, the first
+    ``taken`` in index order. Membership is read from the table's levels,
+    and the mask is built only when it is read.
+    """
 
     table: PosteriorTable
     cutoff: float
     above: int
     tied: int
     taken: int
+    gamma: float
+    achieved_mass: float
+
+    def __post_init__(self) -> None:
+        if self.above + self.taken == 0:
+            raise ValueError("credible set must be nonempty")
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError(f"gamma={self.gamma} must lie in (0, 1)")
+        if self.achieved_mass < 1.0 - self.gamma - 1e-12:
+            raise ValueError(f"achieved mass {self.achieved_mass} "
+                             f"below credible level {1.0 - self.gamma}")
+
+    @property
+    def n(self) -> int:
+        return self.table.n
 
     @cached_property
     def last_tied(self) -> int:
@@ -84,7 +105,7 @@ class _HpdRule:
             return len(self.table)
         prob = self.table.level_masses()[0]
         keys, _ = self.table.labelings_in(prob == self.cutoff)
-        positions = canonical_positions(keys, self.table.n)
+        positions = canonical_positions(keys, self.n)
         return int(np.partition(positions, self.taken - 1)[self.taken - 1])
 
     @property
@@ -97,16 +118,15 @@ class _HpdRule:
         """The half-cube keys of the labelings taken and their index
         positions, both in index order: every labeling of the groups taken
         from, less the tied ones after the first ``taken``."""
-        table = self.table
-        prob = table.level_masses()[0]
-        keys, level = table.labelings_in(prob >= self.cutoff)
-        positions = canonical_positions(keys, table.n)
+        prob = self.table.level_masses()[0]
+        keys, level = self.table.labelings_in(prob >= self.cutoff)
+        positions = canonical_positions(keys, self.n)
         order = np.argsort(positions)
         tied = np.flatnonzero(prob[level[order]] == self.cutoff)
         order = np.delete(order, tied[self.taken:])
         return keys[order], positions[order]
 
-    def holds(self, theta: LabelVector) -> bool:
+    def _holds(self, theta: LabelVector) -> bool:
         p = self.table.probability(theta)
         return p > self.cutoff or (p == self.cutoff
                                    and canonical_index(theta) <= self.last_tied)
@@ -116,16 +136,13 @@ class _HpdRule:
         prob = self.table.level_masses()[0][self.table.levels_at(keys)]
         held = prob > self.cutoff
         at = np.flatnonzero(prob == self.cutoff)
-        held[at] = canonical_positions(keys[at], self.table.n) <= self.last_tied
+        held[at] = canonical_positions(keys[at], self.n) <= self.last_tied
         return held
 
-    def mask(self) -> np.ndarray:
-        """The labelings taken, as a boolean mask over the index.
-
-        A small set's positions are listed (see ``listed``) and scattered
-        into an empty mask; otherwise the mask is gathered through the
-        canonical level of every labeling.
-        """
+    def _build_mask(self) -> np.ndarray:
+        """A small set's positions are listed (see ``listed``) and
+        scattered into an empty mask; otherwise the mask is gathered
+        through the canonical level of every labeling."""
         table = self.table
         prob = table.level_masses()[0]
         if self.small:
@@ -138,38 +155,11 @@ class _HpdRule:
                 mask[tied[self.taken:]] = False
         return mask
 
-
-class CredibleSet(_LabelingSet):
-    """An HPD set of labelings with posterior mass at least 1 - gamma, as
-    built by hpd_credible_set: its selection rule answers membership from
-    the table's levels, and builds the mask only when it is read.
-    """
-
-    def __init__(self, rule: _HpdRule, gamma: float, achieved_mass: float):
-        self.n = rule.table.n
-        self._rule = rule
-        self.gamma = gamma
-        self.achieved_mass = achieved_mass
-        if rule.above + rule.taken == 0:
-            raise ValueError("credible set must be nonempty")
-        if not (0.0 < gamma < 1.0):
-            raise ValueError(f"gamma={gamma} must lie in (0, 1)")
-        if achieved_mass < 1.0 - gamma - 1e-12:
-            raise ValueError(
-                f"achieved mass {achieved_mass} below credible level {1.0 - gamma}"
-            )
-
-    def _holds(self, theta: LabelVector) -> bool:
-        return self._rule.holds(theta)
-
-    def _build_mask(self) -> np.ndarray:
-        return self._rule.mask()
-
     def member_words(self) -> np.ndarray:
         """The members' packed words, in index order; a small set's are
         converted from its listed keys, and no index is built."""
-        if self._rule.small:
-            return half_cube_words(self._rule.listed()[0], self.n)
+        if self.small:
+            return half_cube_words(self.listed()[0], self.n)
         return super().member_words()
 
 
@@ -177,8 +167,9 @@ class EnlargedSet(_LabelingSet):
     """A credible set widened by a distance radius, for frequentist coverage:
     every labeling within complement-folded distance < radius of a member,
     together with the set itself. Membership of theta is read from the
-    base at the labelings of theta's ball (model.ball_keys), and the mask
-    is built by dilation when read.
+    base at the labelings of theta's ball (model.ball_keys). When read,
+    the mask is dilated from the base's over the half-cube keys; only the
+    member words of a set wider than its base read the canonical index.
     """
 
     def __init__(self, base: CredibleSet, radius: int):
@@ -194,7 +185,7 @@ class EnlargedSet(_LabelingSet):
         if self.radius > self.n // 2:
             # no folded distance exceeds n // 2, so the ball is everything
             return True
-        return bool(self.base._rule.holds_keys(ball_keys(theta, self.radius)).any())
+        return bool(self.base.holds_keys(ball_keys(theta, self.radius)).any())
 
     def member_words(self) -> np.ndarray:
         if self.radius <= 1:
@@ -202,29 +193,29 @@ class EnlargedSet(_LabelingSet):
         return super().member_words()
 
     def _build_mask(self) -> np.ndarray:
-        """The members and their complements are marked on the raw cube of
-        all 2^n labelings, the marks are dilated radius - 1 times by
-        single-bit flips, and the result is read back at the canonical
-        words. Folded distances never exceed n // 2, so more dilations than
-        that change nothing; with none, the base's mask is shared."""
+        """The base's mask, put in half-cube key order (the inverse of
+        model.canonical_order), is dilated radius - 1 times by flipping
+        each vertex: vertex v >= 1 flips key bit n - 1 - v, and vertex 0
+        maps key h to 2^(n-1) - 1 - h, which reverses the array. Folded
+        distances never exceed n // 2, so more dilations than that change
+        nothing; with none, the base's mask is shared."""
         n = self.n
         steps = min(self.radius - 1, n // 2)
         if steps <= 0:
             return self.base.mask
-        words, _ = canonical_words(n)
-        marked = words[self.base.mask]
-        raw = np.zeros(1 << n, dtype=bool)
-        raw[marked] = True
-        raw[marked ^ np.uint32((1 << n) - 1)] = True
+        low = _half_split(n)
+        count = np.count_nonzero(low)
+        keys = np.empty(len(low), dtype=bool)
+        keys[low] = self.base.mask[:count]
+        keys[~low] = self.base.mask[count:][::-1]
         for _ in range(steps):
-            grown = raw.copy()
-            for v in range(n):
-                # the middle axis is bit v of the raw index: reversing it
-                # flips that bit
-                view = grown.reshape(-1, 2, 1 << v)
-                view |= raw.reshape(-1, 2, 1 << v)[:, ::-1]
-            raw = grown
-        return raw[words]
+            grown = keys | keys[::-1]
+            for b in range(n - 1):
+                # the middle axis is key bit b: reversing it flips that bit
+                view = grown.reshape(-1, 2, 1 << b)
+                view |= keys.reshape(-1, 2, 1 << b)[:, ::-1]
+            keys = grown
+        return canonical_order(keys, n)
 
 
 # A credible set whose probability groups hold at most one labeling in
@@ -259,8 +250,8 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     to a cutoff are summed one labeling at a time: the first group, taken
     in decreasing mass, at which the group masses clear 1 - gamma with a
     margin for rounding. Should that sum still run out, every group is.
-    The set keeps the rule found (see _greedy) and builds its mask only
-    when the mask is read.
+    The set is the rule found (see _greedy) and builds its mask only when
+    the mask is read.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma={gamma} must lie in (0, 1)")
@@ -268,10 +259,10 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     values, sizes = _probability_groups(table)
     cut = min(int(np.searchsorted(np.cumsum(values * sizes), target + _HPD_MARGIN)),
               len(values) - 1)
-    rule, mass = _greedy(table, values[:cut + 1], sizes[:cut + 1], target)
+    *rule, mass = _greedy(table, values[:cut + 1], sizes[:cut + 1], target)
     if mass < target and cut + 1 < len(values):
-        rule, mass = _greedy(table, values, sizes, target)
-    return CredibleSet(rule, gamma, mass)
+        *rule, mass = _greedy(table, values, sizes, target)
+    return CredibleSet(table, *rule, gamma, mass)
 
 
 def _probability_groups(table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
@@ -285,11 +276,12 @@ def _probability_groups(table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _greedy(table: PosteriorTable, values: np.ndarray, sizes: np.ndarray,
-            target: float) -> tuple[_HpdRule, float]:
+            target: float) -> tuple[float, int, int, int, float]:
     """Take labelings from the leading probability groups (``values`` in
     decreasing order, ``sizes`` labelings each), in decreasing probability
     with ties in index order, until their mass reaches ``target``. Returns
-    the rule that selects the labelings taken, and their mass.
+    the rule that selects them (CredibleSet's cutoff, above, tied and
+    taken), and their mass.
 
     The running sum adds each group's value once per labeling, the same
     float64 additions as a sum over the labelings sorted by probability;
@@ -303,9 +295,8 @@ def _greedy(table: PosteriorTable, values: np.ndarray, sizes: np.ndarray,
     ends = np.cumsum(sizes)
     last = int(np.searchsorted(ends, k, side="right"))
     above = int(ends[last] - sizes[last])
-    rule = _HpdRule(table, cutoff=float(values[last]), above=above,
-                    tied=int(sizes[last]), taken=k + 1 - above)
-    return rule, float(reached[k])
+    return (float(values[last]), above, int(sizes[last]), k + 1 - above,
+            float(reached[k]))
 
 
 def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
@@ -315,8 +306,9 @@ def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
     A labeling lies within folded distance d of a member when it lies
     within Hamming distance d of the member or of its complement. So
     theta is a member when some labeling of its ball of radius ``radius``
-    is in the credible set; the mask is a dilation of the credible set's
-    on the raw cube, built when read (see EnlargedSet).
+    is in the credible set; the mask, built when read, is a dilation of
+    the credible set's over the half-cube keys, on which a labeling and
+    its complement are one entry (see EnlargedSet).
     """
     return EnlargedSet(credible, radius)
 

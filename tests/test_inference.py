@@ -25,7 +25,7 @@ from bisect_bayes import (
     sym_distance,
 )
 from bisect_bayes import inference
-from bisect_bayes.model import canonical_index
+from bisect_bayes.model import _canonical_words, canonical_index
 from table_helpers import enumerate_labelings, log_unnormalized, probabilities, table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
@@ -304,16 +304,17 @@ class TestMaskSets:
             assert not s.mask.flags.writeable
 
     def test_set_checks(self):
-        rule = sharp_or_flat_hpd("sharp", 8)._rule
-        empty = inference._HpdRule(rule.table, cutoff=rule.cutoff, above=0,
-                                   tied=rule.tied, taken=0)
+        hpd = sharp_or_flat_hpd("sharp", 8)
+        rule = dict(table=hpd.table, cutoff=hpd.cutoff, above=hpd.above,
+                    tied=hpd.tied, taken=hpd.taken)
         with pytest.raises(ValueError, match="nonempty"):
-            CredibleSet(empty, gamma=0.05, achieved_mass=1.0)
+            CredibleSet(**{**rule, "above": 0, "taken": 0}, gamma=0.05,
+                        achieved_mass=1.0)
         for gamma in (0.0, 1.0):
             with pytest.raises(ValueError, match="must lie in"):
-                CredibleSet(rule, gamma=gamma, achieved_mass=1.0)
+                CredibleSet(**rule, gamma=gamma, achieved_mass=1.0)
         with pytest.raises(ValueError, match="below credible level"):
-            CredibleSet(rule, gamma=0.05, achieved_mass=0.9)
+            CredibleSet(**rule, gamma=0.05, achieved_mass=0.9)
 
 
 def membership_table(kind, n):
@@ -376,13 +377,24 @@ class TestMembershipWithoutMasks:
         oracle = scan_enlarge(hpd, 6)
         assert got == [theta in oracle for theta in thetas]
 
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied"])
+    def test_dilated_mask_reads_no_index(self, kind):
+        # the enlarged mask is dilated over half-cube keys, so neither it
+        # nor its base's mask builds the canonical words
+        hpd = hpd_credible_set(membership_table(kind, 12), 0.05)
+        _canonical_words.cache_clear()
+        mask = enlarge(hpd, 3).mask
+        assert _canonical_words.cache_info().currsize == 0
+        oracle = scan_enlarge(hpd, 3)
+        assert frozenset(LabelVector(12, int(w)) for w in canonical_words(12)[0][mask]) == oracle
+
     def test_tied_sets_take_part_of_their_last_group(self):
         # so that membership there mostly turns on the rank among ties
         partial = 0
         for n in range(2, 13):
             for gamma in (0.05, 0.3, 0.7):
-                rule = hpd_credible_set(membership_table("tied", n), gamma)._rule
-                partial += 0 < rule.taken < rule.tied
+                hpd = hpd_credible_set(membership_table("tied", n), gamma)
+                partial += 0 < hpd.taken < hpd.tied
         assert partial >= 25
 
 
