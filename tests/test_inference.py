@@ -382,11 +382,11 @@ class TestMembershipWithoutMasks:
         # the enlarged mask is dilated over half-cube keys, so neither it
         # nor its base's mask builds the canonical words
         hpd = hpd_credible_set(membership_table(kind, 12), 0.05)
+        enlarged = enlarge(hpd, 3)
         _canonical_words.cache_clear()
-        mask = enlarge(hpd, 3).mask
+        enlarged.mask
         assert _canonical_words.cache_info().currsize == 0
-        oracle = scan_enlarge(hpd, 3)
-        assert frozenset(LabelVector(12, int(w)) for w in canonical_words(12)[0][mask]) == oracle
+        assert enlarged.members == scan_enlarge(hpd, 3)
 
     def test_tied_sets_take_part_of_their_last_group(self):
         # so that membership there mostly turns on the rank among ties
