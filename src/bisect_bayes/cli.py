@@ -243,8 +243,19 @@ def _cmd_credible(args) -> int:
         "gamma": args.gamma,
         "radius": args.enlarge,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    _emit(_credible_json(payload), args.out)
     return 0
+
+
+def _credible_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), with the members list
+    (never empty, as a credible set is not) written as joined lines: its
+    strings are 0/1 labels that need no escaping, and json's indented
+    encoder is pure Python, about half a microsecond per member."""
+    text = json.dumps({**payload, "members": []}, indent=2, sort_keys=True)
+    head, tail = text.split('"members": []')
+    return "".join([head, '"members": [\n    "', '",\n    "'.join(payload["members"]),
+                    '"\n  ]', tail])
 
 
 def _cmd_test(args) -> int:

@@ -259,9 +259,9 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     values, sizes = _probability_groups(table)
     cut = min(int(np.searchsorted(np.cumsum(values * sizes), target + _HPD_MARGIN)),
               len(values) - 1)
-    *rule, mass = _greedy(table, values[:cut + 1], sizes[:cut + 1], target)
+    *rule, mass = _greedy(values[:cut + 1], sizes[:cut + 1], target)
     if mass < target and cut + 1 < len(values):
-        *rule, mass = _greedy(table, values, sizes, target)
+        *rule, mass = _greedy(values, sizes, target)
     return CredibleSet(table, *rule, gamma, mass)
 
 
@@ -275,7 +275,7 @@ def _probability_groups(table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1], sizes[::-1]
 
 
-def _greedy(table: PosteriorTable, values: np.ndarray, sizes: np.ndarray,
+def _greedy(values: np.ndarray, sizes: np.ndarray,
             target: float) -> tuple[float, int, int, int, float]:
     """Take labelings from the leading probability groups (``values`` in
     decreasing order, ``sizes`` labelings each), in decreasing probability

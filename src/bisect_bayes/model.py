@@ -46,12 +46,12 @@ __all__ = [
     "derive_rng",
 ]
 
-# Exact inference scores the 2^(n-1) labelings of the half cube and holds
-# their levels in key order, so each extra vertex doubles its time and
-# memory. The canonical index (words and class sizes), the canonical levels
-# and the per-labeling floats are further arrays over all 2^(n-1)
-# labelings, built only by the queries that read them. The cap keeps one
-# exact query well under a second and a few hundred MB.
+# Exact inference scores the 2^(n-1) labelings of the half cube one chunk
+# at a time and keeps a level histogram per chunk, so each extra vertex
+# doubles its time. The key-order levels, the canonical index (words and
+# class sizes), the canonical levels and the per-labeling floats are arrays
+# over all 2^(n-1) labelings, built only by the queries that read them. The
+# cap keeps one exact query well under a second and a few hundred MB.
 ENUMERATION_CAP = 22
 
 
@@ -330,22 +330,36 @@ def ball_size(n: int, radius: int) -> int:
     return sum(math.comb(n, d) for d in range(min(radius, n + 1)))
 
 
-@lru_cache(maxsize=8)
+# Per n, every n-bit word with fewer than r bits set for the largest radius
+# r listed so far, sorted by popcount, so that each smaller radius is a
+# prefix of it: one array per n, never one per (n, radius).
+_FLIP_MASKS: dict[int, np.ndarray] = {}
+
+
 def _flip_masks(n: int, radius: int) -> np.ndarray:
-    """Every n-bit word with fewer than ``radius`` bits set, built by vertex
-    doubling (intp, read-only, cached)."""
-    masks = np.zeros(1 if radius > 0 else 0, dtype=np.intp)
-    for v in range(n):
-        grown = masks[np.bitwise_count(masks) < radius - 1] | (1 << v)
-        masks = np.concatenate((masks, grown))
-    masks.setflags(write=False)
-    return masks
+    """Every n-bit word with fewer than ``radius`` bits set, in order of
+    popcount (intp, read-only): the first ball_size(n, radius) entries of
+    the array cached for n, rebuilt when the radius outgrows it. Each
+    popcount's words are built by vertex doubling: with vertex v, the
+    words of popcount d gain those of popcount d - 1 with bit v set."""
+    size = ball_size(n, radius)
+    masks = _FLIP_MASKS.get(n)
+    if masks is None or len(masks) < size:
+        shells = [np.zeros(1, dtype=np.intp)] + [np.zeros(0, dtype=np.intp)] * (radius - 1)
+        for v in range(n):
+            shells[1:] = [np.concatenate((shell, fewer | (1 << v)))
+                          for shell, fewer in zip(shells[1:], shells)]
+        masks = np.concatenate(shells)
+        masks.setflags(write=False)
+        _FLIP_MASKS[n] = masks
+    return masks[:size]
 
 
 def ball_keys(theta: LabelVector, radius: int) -> np.ndarray:
     """Half-cube keys (intp) of the labelings within complement-folded
-    distance < radius of theta, in no set order: theta's word with each set
-    of fewer than radius bits flipped, ball_size(n, radius) keys in all.
+    distance < radius of theta: theta's word with each set of fewer than
+    radius bits flipped, fewest flips first, ball_size(n, radius) keys in
+    all.
 
     A labeling lies within folded distance d of theta when it or its
     complement lies within Hamming distance d of theta's word, and a key

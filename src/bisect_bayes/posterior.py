@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -60,82 +60,127 @@ _CHUNK_BITS = 14
 
 
 @lru_cache(maxsize=8)
-def _chunk_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chunk_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The graph-independent rows of a chunk of n-vertex keys, read-only:
-    its low keys l < 2^L (uint32); the class size of each low key alone,
-    min(popcount(l), n - popcount(l)) (int16); and per count k of high
-    bits set, the change in class size as one more high bit is set,
-    c(k + 1 + popcount(l)) - c(k + popcount(l)) with c(t) = min(t, n - t)
-    (int16, one row per k < n - 1 - L)."""
+    its low keys l < 2^L (uint32), and per count k of high bits set, the
+    class size min(t, n - t) of each key, t = k + popcount(l) (int16, one
+    row per k <= n - 1 - L)."""
     bits = min(n - 1, _CHUNK_BITS)
     low = np.arange(1 << bits, dtype=np.uint32)
     t = np.arange(n - bits, dtype=np.int16)[:, np.newaxis] + np.bitwise_count(low)
     sizes = np.minimum(t, n - t)
-    tables = low, sizes[0], np.diff(sizes, axis=0)
-    for a in tables:
+    for a in (low, sizes):
         a.setflags(write=False)
-    return tables
+    return low, sizes
 
 
-def _half_cube_levels(x: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Level m·(E+1) + s of every half-cube labeling, in key order, and per
-    chunk of 2^L keys how many of its labelings each level holds (uint16,
-    one row per chunk; a chunk holds at most 2^14 keys); m is the
-    smaller-class size and s the within-class edge count.
+class _HalfCubeStream:
+    """The level m·(E+1) + s of every half-cube labeling of a graph, served
+    one chunk of 2^L keys at a time; m is the smaller-class size and s the
+    within-class edge count. It keeps O(n·2^L) rows and no level per key.
 
     Key bit n-1-v is the label of vertex v, so vertex 0 stays at label 0.
-    Counts are built by vertex doubling from the last vertex down: with the
-    vertices before v at label 0, giving vertex v label 1 makes its edges
-    to the 1-labelled later vertices within-class and all its other edges
-    split. So the keys h + 2^b (h < 2^b, b = n-1-v) have s of h plus
-    2·popcount(h & later neighbours of v) − deg(v). The first chunk is
-    built so, bit by bit. For b >= L, the chunk of keys h + 2^b is the
-    finished chunk of keys h plus one row: per key, 2·popcount of its
-    low bits & later neighbours of v; for the whole chunk, 2·popcount of
-    its high bits & later neighbours of v, minus deg(v); and the change
-    in class size, picked by the popcount of the high bits. Each chunk is
-    counted into its own row as soon as it is built. The levels, at most (n//2)(E+1) + E,
-    fit int16 for every n that uint32 keys allow.
+    With the vertices before v at label 0, giving vertex v label 1 makes
+    its edges to the 1-labelled later vertices within-class and all its
+    other edges split: the keys h + 2^b (h < 2^b, b = n-1-v) have s of h
+    plus 2·popcount(h & later neighbours of v) − deg(v). Summed over the
+    set bits of a key c·2^L + l, its level is
+
+        s0(l) + sum over bits b of c of w_b(l) + k(c) + (E+1)·min(t, n−t)
+
+    with t = popcount(l) + popcount(c): s0 is the first chunk's s, built
+    bit by bit; w_b(l) is 2·popcount of l & the low-bit later neighbours of
+    the vertex on key bit L+b; and k(c), per chunk, sums over the bits of c
+    2·popcount of the lower bits of c & that vertex's later neighbours,
+    minus its degree. The levels, at most (n//2)(E+1) + E, fit int16 for
+    every n that uint32 keys allow.
     """
-    n = x.n
-    e = x.num_edges
-    low, sizes, steps = _chunk_tables(n)
-    size = len(low)
-    bits = size.bit_length() - 1
-    levels = np.empty(1 << (n - 1), dtype=np.int16)
-    counts = np.empty((len(levels) // size, (n // 2 + 1) * (e + 1)), dtype=np.uint16)
-    # neighbour masks over key bits: bit n-1-u for neighbour u
-    later = [int(format(mask, f"0{n}b")[::-1], 2) for mask in x.neighbor_masks]
-    degree = [mask.bit_count() for mask in x.neighbor_masks]
-    first = levels[:size]
-    first[0] = e
-    for b in range(bits):
-        v, half = n - 1 - b, 1 << b
-        lower = np.bitwise_count(low[:half] & np.uint32(later[v] & (half - 1)))
-        first[half:2 * half] = first[:half] + 2 * lower - degree[v]
-    first += sizes * (e + 1)
-    counts[0] = np.bincount(first, minlength=counts.shape[1])
-    class_steps = steps * (e + 1)
-    row = np.empty(size, dtype=np.int16)
-    for b in range(bits, n - 1):
-        v = n - 1 - b
-        within = 2 * np.bitwise_count(low & np.uint32(later[v] & (size - 1)))
-        high = later[v] & ((1 << b) - size)  # on key bits L..b-1
-        for q in range(0, 1 << b, size):
-            np.add(within, class_steps[q.bit_count()], out=row)
-            row += 2 * (q & high).bit_count() - degree[v]
-            start = (1 << b) + q
-            chunk = levels[start:start + size]
-            np.add(levels[q:q + size], row, out=chunk)
-            counts[start >> bits] = np.bincount(chunk, minlength=counts.shape[1])
-    return levels, _read_only(counts)
+
+    def __init__(self, x: Graph):
+        n, e = x.n, x.num_edges
+        low, sizes = _chunk_tables(n)
+        self.n, self.size = n, len(low)
+        bits = self.size.bit_length() - 1
+        self._e, self._masks = e, x.neighbor_masks
+        # neighbour masks over key bits: bit n-1-u for neighbour u; entry b
+        # is the mask of the vertex on key bit b
+        key_masks = [int(format(mask, f"0{n}b")[::-1], 2) for mask in reversed(self._masks)]
+        degree = [mask.bit_count() for mask in key_masks]
+        first = np.empty(self.size, dtype=np.int16)
+        first[0] = e
+        for b in range(bits):
+            half = 1 << b
+            lower = np.bitwise_count(low[:half] & np.uint32(key_masks[b] & (half - 1)))
+            first[half:2 * half] = first[:half] + 2 * lower - degree[b]
+        self._first = first
+        high = range(bits, n - 1)
+        self._cross = np.empty((len(high), self.size), dtype=np.int16)
+        for row, b in zip(self._cross, high):
+            np.multiply(np.bitwise_count(low & np.uint32(key_masks[b] & (self.size - 1))),
+                        2, out=row)
+        self._class = sizes * np.int16(e + 1)
+        offset = [0]
+        for b in high:
+            above = key_masks[b] >> bits
+            offset += [k + 2 * (c & above).bit_count() - degree[b]
+                       for c, k in enumerate(offset)]
+        self._offset = offset
+
+    def level(self, theta: LabelVector) -> int:
+        """The level of theta, in O(n): each edge it splits is counted from
+        its endpoint labelled 1, one set bit of its word at a time."""
+        word = rest = theta.word
+        split = 0
+        while rest:
+            bit = rest & -rest
+            split += (self._masks[bit.bit_length() - 1] & ~word).bit_count()
+            rest ^= bit
+        return theta.m * (self._e + 1) + self._e - split
+
+    def chunk(self, c: int) -> np.ndarray:
+        """The levels of chunk c (keys c·2^L to (c + 1)·2^L − 1), built
+        from the first chunk's by one row per set bit of c (int16)."""
+        levels = self._first + self._class[c.bit_count()]
+        for j in range(len(self._cross)):
+            if c >> j & 1:
+                levels += self._cross[j]
+        levels += self._offset[c]
+        return levels
+
+    def walk(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Every chunk once, as (c, its levels), in Gray-code order of c,
+        so that each step adds or takes away one row. The levels are one
+        buffer, overwritten at the next step."""
+        within = self._first.copy()
+        levels = np.empty_like(within)
+        c = 0
+        for i in range(len(self._offset)):
+            if i:
+                j = (i & -i).bit_length() - 1
+                c ^= 1 << j
+                if c >> j & 1:
+                    within += self._cross[j]
+                else:
+                    within -= self._cross[j]
+            np.add(within, self._class[c.bit_count()], out=levels)
+            levels += self._offset[c]
+            yield c, levels
+
+
+def _key_order_levels(stream) -> np.ndarray:
+    """The level of every half-cube key, in key order (int16, read-only),
+    filled chunk by chunk from ``stream`` (see _HalfCubeStream)."""
+    levels = np.empty(1 << (stream.n - 1), dtype=np.int16)
+    for c, chunk in stream.walk():
+        levels[c * stream.size:(c + 1) * stream.size] = chunk
+    return _read_only(levels)
 
 
 def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
     """Within-class edge count for each packed labeling word (any words of
     n bits, canonical or not): the half-cube levels read at each word's
     key, a labeling and its complement splitting the same edges."""
-    levels, _ = _half_cube_levels(x)
+    levels = _key_order_levels(_HalfCubeStream(x))
     return levels[half_cube_keys(words, x.n)] % (x.num_edges + 1)
 
 
@@ -181,29 +226,41 @@ class PosteriorTable:
 
     Labelings fall into levels that share one class size and one log mass;
     exact_posterior makes a level of each pair (m, s) of smaller-class size
-    and within-class edge count. The table keeps each half-cube key's level
-    in key order, per chunk of keys how many of its labelings each level
-    holds, and per level its log mass, probability, class size and labeling
-    count. It reports the mass of a set of labelings as a count-weighted sum
-    over levels (see masked_mass).
+    and within-class edge count. The table keeps per chunk of half-cube
+    keys how many of its labelings each level holds, per level its log
+    mass, probability, class size and labeling count, and the stream that
+    serves the key-order levels one chunk at a time (see _HalfCubeStream),
+    but no level per key. It reports the mass of a set of labelings as a
+    count-weighted sum over levels (see masked_mass).
 
-    Point lookups, class-size masses, the mode and ball masses read the
-    key-order levels and the level arrays alone. The only arrays over the
-    canonical index, its ``words`` and ``class_sizes``
-    (model.canonical_words) and the canonical ``level``, are built when
-    first read. No per-labeling float is kept: a labeling's log mass and
-    probability are its level's. Immutable after construction.
+    Class-size masses read the level counts; a point lookup computes its
+    labeling's level; the mode and small credible sets rebuild only the
+    chunks whose histogram holds a level they take. The readers that need
+    every level (``level``, ``levels_at``, a ball found by scanning the
+    keys) read the key-order levels, filled chunk by chunk when first read.
+    The only arrays over the canonical index, its ``words`` and
+    ``class_sizes`` (model.canonical_words) and the canonical ``level``,
+    are likewise built when first read. No per-labeling float is kept: a
+    labeling's log mass and probability are its level's. Immutable after
+    construction.
     """
 
-    def __init__(self, n: int, half_level: np.ndarray, chunk_count: np.ndarray,
-                 level_log_mass: np.ndarray, level_class_size: np.ndarray):
-        """The table over canonical_words(n) whose labeling with half-cube
-        key h lies in level half_level[h], chunk_count[c, i] of the keys in
-        chunk c (keys c·2^L to (c + 1)·2^L − 1) lying in level i. The level
-        counts are its column sums (at most 2^(n-1), summed in uint32)."""
-        self.n = n
-        self._half_level = half_level
-        self._chunk_count = chunk_count
+    def __init__(self, stream, level_log_mass: np.ndarray, level_class_size: np.ndarray):
+        """The table over canonical_words(stream.n) whose labelings lie in
+        the levels ``stream`` gives them. The stream serves ``level(theta)``
+        for one labeling, ``chunk(c)`` for the half-cube keys c·2^L to
+        (c + 1)·2^L − 1 (L = log2 stream.size), and ``walk()``, every
+        chunk once as (c, levels). Each chunk of the walk is counted into
+        its own histogram row (uint16, as a chunk holds at most 2^14 keys);
+        the level counts are its column sums (at most 2^(n-1), summed in
+        uint32)."""
+        self.n = stream.n
+        self._stream = stream
+        chunk_count = np.empty((len(self) // stream.size, len(level_log_mass)),
+                               dtype=np.uint16)
+        for c, levels in stream.walk():
+            chunk_count[c] = np.bincount(levels, minlength=chunk_count.shape[1])
+        self._chunk_count = _read_only(chunk_count)
         self._level_class_size = level_class_size
         level_count = chunk_count.sum(axis=0, dtype=np.uint32).astype(np.int64)
         self._level_count = level_count
@@ -212,6 +269,11 @@ class PosteriorTable:
         self._level_log_mass = np.where(level_count > 0, level_log_mass, -np.inf)
         self.log_normalizer = log_sum_exp(self._level_log_mass, level_count)
         self._level_prob = _read_only(np.exp(self._level_log_mass - self.log_normalizer))
+
+    @cached_property
+    def _half_level(self) -> np.ndarray:
+        """Per half-cube key, in key order, its level (int16)."""
+        return _key_order_levels(self._stream)
 
     @cached_property
     def words(self) -> np.ndarray:
@@ -264,7 +326,7 @@ class PosteriorTable:
     def probability(self, theta: LabelVector) -> float:
         if theta.n != self.n:
             raise ValueError(f"vertex counts differ: {theta.n} vs {self.n}")
-        return float(self._level_prob[self._half_level[half_cube_key(theta)]])
+        return float(self._level_prob[self._stream.level(theta)])
 
     def levels_at(self, keys: np.ndarray) -> np.ndarray:
         """The level of the labeling with each half-cube key (intp keys
@@ -274,24 +336,25 @@ class PosteriorTable:
     def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a boolean mask over the levels: the half-cube keys (intp) of
         the labelings in the levels it selects, in key order, and the level
-        of each. The key-order levels are read only in the chunks whose
-        histogram holds a selected level, and nothing over the canonical
-        index is built (model.canonical_positions gives index positions)."""
-        half_level = self._half_level
-        size = min(len(half_level), 1 << _CHUNK_BITS)
+        of each. Only the chunks whose histogram holds a selected level are
+        rebuilt, and nothing over the canonical index is built
+        (model.canonical_positions gives index positions)."""
+        stream = self._stream
         held = self._chunk_count.compress(levels, axis=1).sum(axis=1, dtype=np.intp)
         keys = np.empty(int(held.sum()), dtype=np.intp)
-        index = np.empty(size, dtype=np.intp)
-        hit = np.empty(size, dtype=bool)
+        level = np.empty(len(keys), dtype=np.intp)
+        index = np.empty(stream.size, dtype=np.intp)
+        hit = np.empty(stream.size, dtype=bool)
         end = 0
-        for start in (np.flatnonzero(held) * size).tolist():
+        for c in np.flatnonzero(held).tolist():
             # an intp index, so that the gather casts nothing
-            np.copyto(index, half_level[start:start + size])
+            np.copyto(index, stream.chunk(c))
             np.take(levels, index, out=hit)
             found = np.flatnonzero(hit)
-            np.add(found, start, out=keys[end:end + len(found)])
+            np.add(found, c * stream.size, out=keys[end:end + len(found)])
+            np.take(index, found, out=level[end:end + len(found)])
             end += len(found)
-        return keys, half_level[keys]
+        return keys, level
 
     def mode(self) -> LabelVector:
         """The most probable labeling; ties go to the first in index
@@ -381,14 +444,13 @@ def exact_posterior(x: Graph, prior: PriorSpec, model: EdgeModel) -> PosteriorTa
     prior times likelihood, normalized by a max-shifted log-sum-exp.
 
     The log mass is read from the level_log_mass grid, and the table keeps
-    each labeling's level: level m·(E + 1) + s.
+    the stream of the labelings' levels, level m·(E + 1) + s.
     """
     n = x.n
     check_enumerable(n)
     e = x.num_edges
-    half_level, chunk_count = _half_cube_levels(x)
     level_class_size = np.repeat(np.arange(n // 2 + 1), e + 1)
-    return PosteriorTable(n, half_level, chunk_count,
+    return PosteriorTable(_HalfCubeStream(x),
                           level_log_mass(n, e, prior, model).ravel(), level_class_size)
 
 

@@ -3,8 +3,29 @@ read from posterior tables, and the labelings themselves, for tests."""
 
 import numpy as np
 
-from bisect_bayes.model import LabelVector, _half_split, canonical_words
+from bisect_bayes.model import LabelVector, _half_split, canonical_words, half_cube_key
 from bisect_bayes.posterior import _CHUNK_BITS, PosteriorTable
+
+
+class KeyOrderLevels:
+    """Levels given in half-cube key order, served through the chunk
+    interface of posterior._HalfCubeStream: one labeling's level, one chunk
+    of 2^14 keys, and every chunk in key order."""
+
+    def __init__(self, n, half_level):
+        self.n = n
+        self.size = min(1 << _CHUNK_BITS, len(half_level))
+        self._levels = half_level
+
+    def level(self, theta):
+        return int(self._levels[half_cube_key(theta)])
+
+    def chunk(self, c):
+        return self._levels[c * self.size:(c + 1) * self.size]
+
+    def walk(self):
+        for c in range(len(self._levels) // self.size):
+            yield c, self.chunk(c)
 
 
 def table_from_masses(n, log_masses):
@@ -14,8 +35,7 @@ def table_from_masses(n, log_masses):
 
     The canonical levels are scattered back to half-cube key order, the
     inverse of model.canonical_order: the low keys take the first levels
-    in order, the high keys the rest in reverse. Each chunk of 2^14 keys
-    is counted into its own histogram row.
+    in order, the high keys the rest in reverse.
     """
     _, class_sizes = canonical_words(n)
     pairs, level = np.unique(np.column_stack((class_sizes, log_masses)),
@@ -25,10 +45,7 @@ def table_from_masses(n, log_masses):
     half_level = np.empty(len(low), dtype=np.intp)
     half_level[low] = level[:np.count_nonzero(low)]
     half_level[~low] = level[np.count_nonzero(low):][::-1]
-    size = min(1 << _CHUNK_BITS, len(low))
-    chunk_count = np.array([np.bincount(half_level[start:start + size], minlength=len(pairs))
-                            for start in range(0, len(low), size)], dtype=np.uint16)
-    return PosteriorTable(n, half_level, chunk_count,
+    return PosteriorTable(KeyOrderLevels(n, half_level),
                           pairs[:, 1], pairs[:, 0].astype(class_sizes.dtype))
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bisect_bayes import inference, posterior
+from bisect_bayes import EdgeModel, canonicalize, inference, posterior, sample_graph
 from bisect_bayes.cli import main
 
 
@@ -155,6 +155,23 @@ class TestCredible:
         assert obj["radius"] == 1
         assert obj["achieved_mass"] >= 0.95
         assert obj["members"] == sorted(obj["members"])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("radius", range(4))
+    def test_output_is_indented_json_dumps(self, tmp_path, capsys, n, radius):
+        # the members are written as joined lines, byte for byte what the
+        # indented encoder writes, on a sharp and a flat graph
+        graph = tmp_path / "g.json"
+        theta = canonicalize([v < n // 3 for v in range(n)])
+        for p, q in ((0.7, 0.2), (0.5, 0.45)):
+            graph.write_text(sample_graph(theta, EdgeModel(p, q), n).to_json())
+            code, out, _ = run(["credible", "--graph", str(graph), "--prior", "uniform-m",
+                                "--p", str(p), "--q", str(q), "--gamma", "0.05",
+                                "--enlarge", str(radius)], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["members"]
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_composes_from_sample(self, tmp_path, graph_file):
         # sample -> posterior -> credible without manual edits
@@ -315,7 +332,7 @@ class TestMalformedJson:
         def scoring(*args):
             raise AssertionError("the half cube was scored")
 
-        monkeypatch.setattr(posterior, "_half_cube_levels", scoring)
+        monkeypatch.setattr(posterior, "_HalfCubeStream", scoring)
         graph = tmp_path / "g.json"
         graph.write_text('{"n": 23, "edges": [[0, 1]]}')
         extra = {"posterior": ["--mode", "exact", "--out", str(tmp_path / "x.csv")],

@@ -176,9 +176,9 @@ class TestHpdMatchesFullSort:
         calls = []
         greedy = inference._greedy
 
-        def counting(t, values, sizes, target):
+        def counting(values, sizes, target):
             calls.append(int(sizes.sum()))
-            return greedy(t, values, sizes, target)
+            return greedy(values, sizes, target)
 
         monkeypatch.setattr(inference, "_HPD_MARGIN", -0.5)
         monkeypatch.setattr(inference, "_greedy", counting)

@@ -25,9 +25,12 @@ from bisect_bayes import (
 )
 from bisect_bayes import model as model_module
 from bisect_bayes.model import (
+    ball_keys,
+    ball_size,
     canonical_order,
     canonical_positions,
     canonical_words,
+    half_cube_key,
     half_cube_keys,
     half_cube_words,
     label_strings,
@@ -183,6 +186,41 @@ class TestCanonicalIndex:
         words, _ = canonical_words(22)
         sample = words[np.random.default_rng(22).integers(0, len(words), size=4096)]
         assert np.array_equal(half_cube_words(half_cube_keys(sample, 22), 22), sample)
+
+
+class TestBallKeys:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_keys_are_the_flipped_words_folded(self, n):
+        # the key of theta's word with each set of fewer than radius bits
+        # flipped, as a multiset; radii go up, so that the cached masks
+        # grow, then down, so that they are read as prefixes
+        model_module._FLIP_MASKS.clear()
+        words, _ = canonical_words(n)
+        picks = np.random.default_rng(n).choice(len(words), size=min(4, len(words)),
+                                                replace=False)
+        flips = np.arange(1 << n, dtype=np.uint32)
+        count = np.bitwise_count(flips)
+        for radius in [*range(-1, n + 3), *range(n + 2, -2, -1)]:
+            for theta in [LabelVector(n, int(words[k])) for k in picks]:
+                got = ball_keys(theta, radius)
+                expected = half_cube_keys(flips[count < radius] ^ np.uint32(theta.word), n)
+                assert got.dtype == np.intp and len(got) == ball_size(n, radius)
+                assert sorted(got.tolist()) == sorted(expected.tolist())
+                if 2 * (radius - 1) <= n:
+                    # fewest flips first, and no flip count folds past n/2
+                    d = np.bitwise_count(got ^ half_cube_key(theta)).astype(np.int64)
+                    assert (np.diff(np.minimum(d, n - d)) >= 0).all()
+
+    def test_one_cached_array_per_n(self):
+        model_module._FLIP_MASKS.clear()
+        for n in (10, 12):
+            for radius in (3, 5, 2, 4):
+                ball_keys(LabelVector(n, 0), radius)
+        assert sorted(model_module._FLIP_MASKS) == [10, 12]
+        for n, masks in model_module._FLIP_MASKS.items():
+            # the largest radius listed, sorted by popcount
+            assert len(masks) == ball_size(n, 5) and not masks.flags.writeable
+            assert (np.diff(np.bitwise_count(masks).astype(np.int64)) >= 0).all()
 
 
 class TestLabelStrings:

@@ -35,9 +35,11 @@ from bisect_bayes.model import (
     canonical_order,
     canonical_positions,
     canonical_words,
+    half_cube_words,
 )
 from bisect_bayes.posterior import (
-    _half_cube_levels,
+    _HalfCubeStream,
+    _key_order_levels,
     level_log_mass,
     log_sum_exp,
     within_edge_counts,
@@ -83,6 +85,25 @@ def key_order_levels(x):
         words |= ((keys >> np.uint32(n - 1 - v)) & np.uint32(1)) << np.uint32(v)
     ones = np.bitwise_count(words).astype(np.int64)
     return np.minimum(ones, n - ones) * (x.num_edges + 1) + full_cube_counts(x, words)
+
+
+def assert_stream_matches(stream, keyed):
+    """Every chunk the stream rebuilds, every chunk of its walk (each once)
+    and the level it computes for a key equal the key-order oracle."""
+    size = stream.size
+    walked = []
+    for c, levels in stream.walk():
+        assert np.array_equal(levels, keyed[c * size:(c + 1) * size])
+        walked.append(c)
+    assert sorted(walked) == list(range(len(keyed) // size))
+    for c in walked:
+        levels = stream.chunk(c)
+        assert levels.dtype == np.int16
+        assert np.array_equal(levels, keyed[c * size:(c + 1) * size])
+    rng = np.random.default_rng(len(keyed))
+    keys = np.append(rng.integers(0, len(keyed), size=20), [0, len(keyed) - 1])
+    for key, word in zip(keys.tolist(), half_cube_words(keys, stream.n).tolist()):
+        assert stream.level(LabelVector(stream.n, word)) == keyed[key]
 
 
 def oracle_graphs(n):
@@ -145,7 +166,7 @@ class TestWithinEdgeCounts:
     def test_canonical_order_kernel_matches_oracles(self, n):
         words, _ = canonical_words(n)
         for g in oracle_graphs(n):
-            got = canonical_order(_half_cube_levels(g)[0] % (g.num_edges + 1), n)
+            got = canonical_order(_key_order_levels(_HalfCubeStream(g)) % (g.num_edges + 1), n)
             assert got.dtype == np.int16
             assert np.array_equal(got, edge_loop_counts(g, words))
             assert np.array_equal(got, full_cube_counts(g, words))
@@ -173,6 +194,27 @@ class TestWithinEdgeCounts:
                 assert np.array_equal(row, np.bincount(keyed[c * size:(c + 1) * size],
                                                        minlength=chunks.shape[1]))
             assert np.array_equal(chunks.sum(axis=0), table.level_masses()[1])
+            assert_stream_matches(table._stream, keyed)
+
+    @pytest.mark.parametrize("n", [20, 22])
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "empty", "complete"])
+    def test_streamed_chunks_match_key_order_oracle(self, n, kind):
+        if kind in ("sharp", "flat"):
+            p, q = (0.7, 0.2) if kind == "sharp" else (0.5, 0.45)
+            g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), EdgeModel(p, q), n)
+        else:
+            g = Graph(n, [] if kind == "empty" else
+                      [(i, j) for i in range(n) for j in range(i + 1, n)])
+        table = exact_posterior(g, UNIFORM, EdgeModel(0.7, 0.2))
+        keyed = key_order_levels(g)
+        chunks = table._chunk_count
+        assert chunks.shape[0] == len(keyed) >> 14
+        for c, row in enumerate(chunks):
+            assert np.array_equal(row, np.bincount(keyed[c << 14:(c + 1) << 14],
+                                                   minlength=chunks.shape[1]))
+        assert_stream_matches(table._stream, keyed)
+        assert "_half_level" not in vars(table)
+        assert np.array_equal(table._half_level, keyed)
 
     @pytest.mark.parametrize("n", range(15, 19))
     def test_labelings_in_matches_full_scan(self, n):
@@ -198,28 +240,40 @@ class TestWithinEdgeCounts:
                 assert np.array_equal(level[order], table.level[expected])
 
     def test_labelings_in_skips_chunks_without_the_levels(self):
-        # a forged copy whose key-order levels put the top level into a
-        # chunk whose histogram row does not hold it: those keys are never
-        # read, where a full scan would return them
+        # a forged copy whose stream puts the top level into a chunk whose
+        # histogram row does not hold it: that chunk is never rebuilt,
+        # where a full scan would return its keys
         n = 18
         model = EdgeModel(0.7, 0.2)
         g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), model, 0)
         table = exact_posterior(g, UNIFORM, model)
         prob = table.level_masses()[0]
         top = prob == prob.max()
-        half_level = table._half_level
-        rows = top[half_level].reshape(-1, 1 << 14).any(axis=1)
+        stream = table._stream
+        rows = np.array([top[stream.chunk(c)].any() for c in range(len(table) >> 14)])
         assert rows.any() and not rows.all()
-        start = int(np.flatnonzero(~rows)[0]) << 14
+        bad = int(np.flatnonzero(~rows)[0])
+        start = bad << 14
+
+        class Forged:
+            n, size = stream.n, stream.size
+
+            def chunk(self, c):
+                levels = stream.chunk(c)
+                if c == bad:
+                    levels[:3] = np.flatnonzero(top)[0]
+                return levels
+
         forged = copy.copy(table)
-        forged._half_level = half_level.copy()
-        forged._half_level[start:start + 3] = np.flatnonzero(top)[0]
+        forged._stream = Forged()
         keys, level = forged.labelings_in(top)
         positions = canonical_positions(keys, n)
         expected = canonical_positions(table.labelings_in(top)[0], n)
         assert np.array_equal(np.sort(positions), np.sort(expected))
         assert not np.isin(canonical_positions(start + np.arange(3), n), positions).any()
         assert top[level].all()
+        # the forged chunk is what a full scan would read
+        assert top[Forged().chunk(bad)[:3]].all()
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_shuffled_raw_words(self, n):
@@ -498,9 +552,49 @@ class TestPerLabelingArraysOnDemand:
             tracemalloc.stop()
         assert peak <= limit << (n - 1)
 
+    def test_streamed_queries_build_no_key_order_levels(self, tables):
+        # a class-size test, the mode, a point lookup and a small credible
+        # set's members read the histogram and rebuilt chunks, and no array
+        # of 2^(n-1) levels (or of anything else per key) is built
+        n = 20
+        model = EdgeModel(0.7, 0.2)
+        g = sample_graph(canonicalize([v < 5 for v in range(n)]), model, 0)
+        inference.class_size_test(g, UNIFORM, model, 0, None, 1.0)
+        table = exact_posterior(g, UNIFORM, model)
+        tracemalloc.start()
+        try:
+            theta = table.mode()
+            hpd = inference.hpd_credible_set(table, 0.05)
+            words = hpd.member_words()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.probability(theta) == table.level_masses()[0].max()
+        assert hpd.small and theta.word in words.tolist() and theta in hpd
+        assert len(tables) == 1
+        for made in (tables[0], table):
+            assert not {"_half_level", "level"} & set(vars(made))
+        assert peak < 1 << (n - 1)
+
+    def test_class_size_test_peak_at_the_cap(self):
+        # the histogram (uint16, one row per chunk) and the kernel rows
+        # are all a class-size test allocates: 1.1 MiB, where the int16
+        # key-order levels alone are 4 MiB
+        n = 22
+        model = EdgeModel(0.7, 0.2)
+        g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), model, 0)
+        inference.class_size_test(g, UNIFORM, model, 0, None, 1.0)
+        tracemalloc.start()
+        try:
+            inference.class_size_test(g, UNIFORM, model, 0, None, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 19
+
     def test_arrays_are_built_once_and_read_only(self):
         table = reduction_tables()["flat"]
-        for name in ("level", "words", "class_sizes"):
+        for name in ("_half_level", "level", "words", "class_sizes"):
             assert getattr(table, name) is getattr(table, name)
             assert not getattr(table, name).flags.writeable
 
