@@ -49,10 +49,14 @@ MCMC_GRAPHS = ("n14-sharp",)
 # bound-check-n20 plants uniformly over the whole labeling space near the
 # cap; recovery-mcmc lies past the cap, so its replications run the sampler;
 # coverage-wide (radius 6 at n = 12) and bound-check-wide (ball radius 5)
-# ask about balls that hold about 3/4 and 2/5 of the labelings
+# ask about balls that hold about 3/4 and 2/5 of the labelings;
+# bound-check-n20-wide (ball radius 8) and coverage-n18-r4 (radius 4, whose
+# enlarged set holds theta where the credible set does not) ask about balls
+# that span many chunks of half-cube keys
 EXPERIMENTS = ("coverage-flat", "coverage-r2", "coverage-tied", "coverage-n20",
-               "coverage-wide", "test-error", "bound-check", "bound-check-n20",
-               "bound-check-wide", "recovery", "recovery-mcmc", "phase-diagram")
+               "coverage-n18-r4", "coverage-wide", "test-error", "bound-check",
+               "bound-check-n20", "bound-check-n20-wide", "bound-check-wide", "recovery",
+               "recovery-mcmc", "phase-diagram")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
