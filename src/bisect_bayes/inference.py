@@ -15,7 +15,6 @@ from .model import (
     Graph,
     LabelVector,
     _half_split,
-    ball_keys,
     canonical_index,
     canonical_order,
     canonical_positions,
@@ -131,9 +130,10 @@ class CredibleSet(_LabelingSet):
         return p > self.cutoff or (p == self.cutoff
                                    and canonical_index(theta) <= self.last_tied)
 
-    def holds_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Per half-cube key (intp), whether its labeling is taken."""
-        prob = self.table.level_masses()[0][self.table.levels_at(keys)]
+    def holds(self, keys: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Per labeling, given by its half-cube key (intp) and its level,
+        whether it is taken."""
+        prob = self.table.level_masses()[0][levels]
         held = prob > self.cutoff
         at = np.flatnonzero(prob == self.cutoff)
         held[at] = canonical_positions(keys[at], self.n) <= self.last_tied
@@ -167,9 +167,11 @@ class EnlargedSet(_LabelingSet):
     """A credible set widened by a distance radius, for frequentist coverage:
     every labeling within complement-folded distance < radius of a member,
     together with the set itself. Membership of theta is read from the
-    base at the labelings of theta's ball (model.ball_keys). When read,
-    the mask is dilated from the base's over the half-cube keys; only the
-    member words of a set wider than its base read the canonical index.
+    base at the labelings of theta's ball, one chunk of half-cube keys at a
+    time (PosteriorTable.ball), up to the first chunk that holds a member.
+    When read, the mask is dilated from the base's over the half-cube
+    keys; only the member words of a set wider than its base read the
+    canonical index.
     """
 
     def __init__(self, base: CredibleSet, radius: int):
@@ -185,7 +187,8 @@ class EnlargedSet(_LabelingSet):
         if self.radius > self.n // 2:
             # no folded distance exceeds n // 2, so the ball is everything
             return True
-        return bool(self.base.holds_keys(ball_keys(theta, self.radius)).any())
+        return any(self.base.holds(keys, levels).any()
+                   for keys, levels in self.base.table.ball(theta, self.radius))
 
     def member_words(self) -> np.ndarray:
         if self.radius <= 1:

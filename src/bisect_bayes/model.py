@@ -33,8 +33,6 @@ __all__ = [
     "half_cube_words",
     "canonical_index",
     "canonical_positions",
-    "ball_size",
-    "ball_keys",
     "num_labelings",
     "hamming",
     "sym_distance",
@@ -48,10 +46,11 @@ __all__ = [
 
 # Exact inference scores the 2^(n-1) labelings of the half cube one chunk
 # at a time and keeps a level histogram per chunk, so each extra vertex
-# doubles its time. The key-order levels, the canonical index (words and
-# class sizes), the canonical levels and the per-labeling floats are arrays
-# over all 2^(n-1) labelings, built only by the queries that read them. The
-# cap keeps one exact query well under a second and a few hundred MB.
+# doubles its time; ball queries rebuild only the chunks a ball reaches.
+# The canonical index (words and class sizes), the canonical levels and the
+# per-labeling floats are arrays over all 2^(n-1) labelings, built only by
+# the queries that read them. The cap keeps one exact query well under a
+# second and a few hundred MB.
 ENUMERATION_CAP = 22
 
 
@@ -322,58 +321,6 @@ def canonical_index(theta: LabelVector) -> int:
     if 2 * key.bit_count() > n:
         rank += (1 << (n - 1)) - 1 - key
     return rank
-
-
-def ball_size(n: int, radius: int) -> int:
-    """How many n-bit words lie within Hamming distance < radius of a
-    word: the number of keys ball_keys lists."""
-    return sum(math.comb(n, d) for d in range(min(radius, n + 1)))
-
-
-# Per n, every n-bit word with fewer than r bits set for the largest radius
-# r listed so far, sorted by popcount, so that each smaller radius is a
-# prefix of it: one array per n, never one per (n, radius).
-_FLIP_MASKS: dict[int, np.ndarray] = {}
-
-
-def _flip_masks(n: int, radius: int) -> np.ndarray:
-    """Every n-bit word with fewer than ``radius`` bits set, in order of
-    popcount (intp, read-only): the first ball_size(n, radius) entries of
-    the array cached for n, rebuilt when the radius outgrows it. Each
-    popcount's words are built by vertex doubling: with vertex v, the
-    words of popcount d gain those of popcount d - 1 with bit v set."""
-    size = ball_size(n, radius)
-    masks = _FLIP_MASKS.get(n)
-    if masks is None or len(masks) < size:
-        shells = [np.zeros(1, dtype=np.intp)] + [np.zeros(0, dtype=np.intp)] * (radius - 1)
-        for v in range(n):
-            shells[1:] = [np.concatenate((shell, fewer | (1 << v)))
-                          for shell, fewer in zip(shells[1:], shells)]
-        masks = np.concatenate(shells)
-        masks.setflags(write=False)
-        _FLIP_MASKS[n] = masks
-    return masks[:size]
-
-
-def ball_keys(theta: LabelVector, radius: int) -> np.ndarray:
-    """Half-cube keys (intp) of the labelings within complement-folded
-    distance < radius of theta: theta's word with each set of fewer than
-    radius bits flipped, fewest flips first, ball_size(n, radius) keys in
-    all.
-
-    A labeling lies within folded distance d of theta when it or its
-    complement lies within Hamming distance d of theta's word, and a key
-    stands for both, so each labeling of the ball is listed; it is listed
-    twice when both lie within radius - 1 flips, which needs
-    2(radius - 1) >= n. The words with fewer than radius bits set are
-    closed under reversing the bit order, so the flips are applied to
-    theta's labeling string read as a binary number, and each result is
-    folded to its key.
-    """
-    n = theta.n
-    keys = _flip_masks(n, min(radius, n + 1)) ^ int(format(theta.word, f"0{n}b")[::-1], 2)
-    keys ^= (keys >> (n - 1)) * ((1 << n) - 1)
-    return keys
 
 
 def num_labelings(n: int, m: int | None = None) -> int:

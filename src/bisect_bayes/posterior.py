@@ -20,12 +20,9 @@ import numpy as np
 
 from .model import (
     _STRING_CHUNK,
-    _half_split,
     EdgeModel,
     Graph,
     LabelVector,
-    ball_keys,
-    ball_size,
     canonical_order,
     canonical_positions,
     canonical_words,
@@ -137,13 +134,14 @@ class _HalfCubeStream:
             rest ^= bit
         return theta.m * (self._e + 1) + self._e - split
 
-    def chunk(self, c: int) -> np.ndarray:
-        """The levels of chunk c (keys c·2^L to (c + 1)·2^L − 1), built
-        from the first chunk's by one row per set bit of c (int16)."""
-        levels = self._first + self._class[c.bit_count()]
+    def chunk(self, c: int, at=slice(None)) -> np.ndarray:
+        """The levels of chunk c (keys c·2^L to (c + 1)·2^L − 1), or of its
+        keys at the positions ``at`` only, built from the first chunk's by
+        one row per set bit of c (int16)."""
+        levels = self._first[at] + self._class[c.bit_count()][at]
         for j in range(len(self._cross)):
             if c >> j & 1:
-                levels += self._cross[j]
+                levels += self._cross[j][at]
         levels += self._offset[c]
         return levels
 
@@ -179,7 +177,10 @@ def _key_order_levels(stream) -> np.ndarray:
 def within_edge_counts(x: Graph, words: np.ndarray) -> np.ndarray:
     """Within-class edge count for each packed labeling word (any words of
     n bits, canonical or not): the half-cube levels read at each word's
-    key, a labeling and its complement splitting the same edges."""
+    key, a labeling and its complement splitting the same edges.
+
+    Nothing in the package calls it; it stays here, exported, because the
+    benchmark's tracer still reads a per-layer row from it by this name."""
     levels = _key_order_levels(_HalfCubeStream(x))
     return levels[half_cube_keys(words, x.n)] % (x.num_edges + 1)
 
@@ -210,16 +211,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# A ball listed in more words than 1/_BALL_SHARE of the labelings is found
-# by a scan over the half-cube keys instead. Timed on flat graphs (warm,
-# best of 7), the listing is the faster up to a share of about 1/20 at
-# n = 18 and 22 (at n = 22 and 0.05, 2.1 ms against 3.7 ms), the two are
-# even near 1/10, and the scan is the faster above (at n = 22, 4.6 ms
-# against 6.3 ms at 0.13 and 11 ms against 68 ms at 0.83); at n = 12 and
-# 14 both take under 0.2 ms.
-_BALL_SHARE = 8
-
-
 class PosteriorTable:
     """Exact normalized posterior over all canonical labelings, as built by
     exact_posterior.
@@ -235,21 +226,21 @@ class PosteriorTable:
 
     Class-size masses read the level counts; a point lookup computes its
     labeling's level; the mode and small credible sets rebuild only the
-    chunks whose histogram holds a level they take. The readers that need
-    every level (``level``, ``levels_at``, a ball found by scanning the
-    keys) read the key-order levels, filled chunk by chunk when first read.
-    The only arrays over the canonical index, its ``words`` and
-    ``class_sizes`` (model.canonical_words) and the canonical ``level``,
-    are likewise built when first read. No per-labeling float is kept: a
-    labeling's log mass and probability are its level's. Immutable after
-    construction.
+    chunks whose histogram holds a level they take, and a ball (``ball``)
+    only its keys in the chunks it reaches. The only arrays over the
+    canonical index, its ``words`` and ``class_sizes``
+    (model.canonical_words) and the canonical ``level``, are built when
+    first read; ``level`` walks the stream once more to fill it. No
+    per-labeling float is kept: a labeling's log mass and probability are
+    its level's. Immutable after construction.
     """
 
     def __init__(self, stream, level_log_mass: np.ndarray, level_class_size: np.ndarray):
         """The table over canonical_words(stream.n) whose labelings lie in
         the levels ``stream`` gives them. The stream serves ``level(theta)``
-        for one labeling, ``chunk(c)`` for the half-cube keys c·2^L to
-        (c + 1)·2^L − 1 (L = log2 stream.size), and ``walk()``, every
+        for one labeling, ``chunk(c, at)`` for the half-cube keys c·2^L to
+        (c + 1)·2^L − 1 (L = log2 stream.size), or for those at the
+        positions ``at`` among them, and ``walk()``, every
         chunk once as (c, levels). Each chunk of the walk is counted into
         its own histogram row (uint16, as a chunk holds at most 2^14 keys);
         the level counts are its column sums (at most 2^(n-1), summed in
@@ -271,11 +262,6 @@ class PosteriorTable:
         self._level_prob = _read_only(np.exp(self._level_log_mass - self.log_normalizer))
 
     @cached_property
-    def _half_level(self) -> np.ndarray:
-        """Per half-cube key, in key order, its level (int16)."""
-        return _key_order_levels(self._stream)
-
-    @cached_property
     def words(self) -> np.ndarray:
         """Per labeling, its packed word: canonical_words(n)."""
         return canonical_words(self.n)[0]
@@ -289,7 +275,8 @@ class PosteriorTable:
     def level(self) -> np.ndarray:
         """Per labeling, the index of its level (intp, so that gathers by
         level need no index cast)."""
-        return _read_only(canonical_order(self._half_level, self.n).astype(np.intp))
+        levels = _key_order_levels(self._stream)
+        return _read_only(canonical_order(levels, self.n).astype(np.intp))
 
     def masked_mass(self, mask: np.ndarray) -> tuple[float, float]:
         """For the labelings a boolean mask over the index selects: the log
@@ -328,11 +315,6 @@ class PosteriorTable:
             raise ValueError(f"vertex counts differ: {theta.n} vs {self.n}")
         return float(self._level_prob[self._stream.level(theta)])
 
-    def levels_at(self, keys: np.ndarray) -> np.ndarray:
-        """The level of the labeling with each half-cube key (intp keys
-        below 2^(n-1)), read from the key-order levels."""
-        return self._half_level[keys]
-
     def labelings_in(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a boolean mask over the levels: the half-cube keys (intp) of
         the labelings in the levels it selects, in key order, and the level
@@ -366,31 +348,51 @@ class PosteriorTable:
     def mass_of_class_size(self, m: int) -> float:
         return self.class_size_mass(np.arange(self.n // 2 + 1) == m)[1]
 
-    def mass_of_ball(self, center: LabelVector, radius: int) -> float:
-        """Mass of labelings with complement-folded distance < radius.
+    def ball(self, center: LabelVector,
+             radius: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The labelings within complement-folded distance < radius of
+        center, one chunk of half-cube keys at a time in key order: for
+        each chunk that holds any, their keys (intp, ascending) and levels.
 
-        A ball listed in at most 1/_BALL_SHARE as many words as there are
-        labelings is listed by model.ball_keys, and its distinct labelings
-        are put in index order. A larger ball is found by scanning the
-        half-cube keys, since folded distance is the same between two keys
-        as between their words, and its levels are put in index order by
-        model.canonical_order's rule. Both sum the same float64 values in
-        the same order, and neither reads the canonical index.
+        A key and center's key both keep vertex 0 at label 0, so their
+        folded distance is min(d, n − d) with d the popcount of their XOR.
+        That d is the distance h between the chunks' high bits plus that
+        between the low bits. So only the chunks with h < radius or
+        h > n − radius − L are rebuilt, and only at the positions the
+        ball takes in them, which depend on h alone.
         """
         if center.n != self.n:
             raise ValueError(f"vertex counts differ: {center.n} vs {self.n}")
-        if _BALL_SHARE * ball_size(self.n, radius) <= len(self):
-            keys = ball_keys(center, radius)
-            _, first = np.unique(canonical_positions(keys, self.n), return_index=True)
-            levels = self.levels_at(keys[first])
-        else:
-            k = np.arange(len(self), dtype=np.uint32)
-            k ^= np.uint32(half_cube_key(center))
-            k = np.bitwise_count(k)
-            near = np.minimum(k, self.n - k) < radius
-            low = _half_split(self.n)
-            levels = np.concatenate((self._half_level[near & low],
-                                     self._half_level[near & ~low][::-1]))
+        n, size = self.n, self._stream.size
+        bits = size.bit_length() - 1
+        key = half_cube_key(center)
+        d_low = np.bitwise_count(_chunk_tables(n)[0] ^ np.uint32(key & (size - 1)))
+        d_high = np.bitwise_count(np.arange(len(self) >> bits) ^ (key >> bits))
+        positions = {}
+        for c in np.flatnonzero((d_high < radius) | (d_high > n - radius - bits)).tolist():
+            h = int(d_high[c])
+            if h not in positions:
+                d = d_low + h
+                positions[h] = np.flatnonzero(np.minimum(d, n - d) < radius)
+            yield positions[h] + c * size, self._stream.chunk(c, positions[h])
+
+    def mass_of_ball(self, center: LabelVector, radius: int) -> float:
+        """Mass of labelings with complement-folded distance < radius.
+
+        The ball's levels (see ``ball``) are put in index order by
+        model.canonical_order's rule, low keys ascending and then the
+        others descending, and their probabilities are summed in that
+        order. Its memory is one level and one float per labeling of the
+        ball, and no canonical index is read.
+        """
+        low, high = [], []
+        for keys, levels in self.ball(center, radius):
+            split = 2 * np.bitwise_count(keys) <= self.n
+            low.append(levels[split])
+            high.append(levels[~split])
+        if not low:
+            return 0.0
+        levels = np.concatenate(low + [np.concatenate(high)[::-1]])
         return float(self._level_prob[levels].sum())
 
     def inclusion_probabilities(self) -> np.ndarray:

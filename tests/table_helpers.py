@@ -10,7 +10,7 @@ from bisect_bayes.posterior import _CHUNK_BITS, PosteriorTable
 class KeyOrderLevels:
     """Levels given in half-cube key order, served through the chunk
     interface of posterior._HalfCubeStream: one labeling's level, one chunk
-    of 2^14 keys, and every chunk in key order."""
+    of 2^14 keys or some positions in it, and every chunk in key order."""
 
     def __init__(self, n, half_level):
         self.n = n
@@ -20,8 +20,8 @@ class KeyOrderLevels:
     def level(self, theta):
         return int(self._levels[half_cube_key(theta)])
 
-    def chunk(self, c):
-        return self._levels[c * self.size:(c + 1) * self.size]
+    def chunk(self, c, at=slice(None)):
+        return self._levels[c * self.size:(c + 1) * self.size][at]
 
     def walk(self):
         for c in range(len(self._levels) // self.size):

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,22 @@ def test_package_all_resolves_and_star_import_runs():
     namespace = {}
     exec("from bisect_bayes import *", namespace)
     assert "exact_posterior" in namespace
+
+
+def test_bench_trace_targets_resolve():
+    # the bench's tracer skips a target the package no longer has, with no
+    # error, so a renamed or deleted function would silently drop the
+    # per-layer metrics the benchmark declares for it
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    unresolved = []
+    for name, module, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"bisect_bayes.{module}")
+        *cls, fn = attr.split(".")
+        scope = vars(getattr(owner, cls[0], object)) if cls else vars(owner)
+        if fn not in scope:
+            unresolved.append(name)
+    assert unresolved == []

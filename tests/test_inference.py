@@ -346,6 +346,26 @@ class TestMembershipWithoutMasks:
             for s, got in zip(sets, answers):
                 assert got == [bool(s.mask[canonical_index(t)]) for t in thetas]
 
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied"])
+    @pytest.mark.parametrize("n", [10, 16, 18])
+    def test_membership_matches_brute_force_on_the_base(self, n, kind):
+        # theta is in enlarge(hpd, r) when it is in hpd or some member of
+        # hpd.mask lies within folded distance < r; from n = 16 the balls
+        # span chunks of 2^14 keys
+        table = membership_table(kind, n)
+        words = table.words
+        picks = np.random.default_rng(n).choice(len(words), size=48, replace=False)
+        for gamma in (0.05, 0.3, 0.7):
+            hpd = hpd_credible_set(table, gamma)
+            members = words[hpd.mask]
+            for k in picks.tolist():
+                d = np.bitwise_count(members ^ words[k]).astype(np.int64)
+                nearest = int(np.minimum(d, n - d).min())
+                theta = LabelVector(n, int(words[k]))
+                for radius in range(n // 2 + 2):
+                    expected = bool(hpd.mask[k]) or nearest < radius
+                    assert (theta in enlarge(hpd, radius)) == expected
+
     def test_table_from_the_constructor(self):
         # a table whose levels are every distinct (class size, mass), not
         # (m, s): membership, masks and balls read them by key all the same

@@ -35,6 +35,7 @@ from bisect_bayes.model import (
     canonical_order,
     canonical_positions,
     canonical_words,
+    half_cube_keys,
     half_cube_words,
 )
 from bisect_bayes.posterior import (
@@ -213,8 +214,7 @@ class TestWithinEdgeCounts:
             assert np.array_equal(row, np.bincount(keyed[c << 14:(c + 1) << 14],
                                                    minlength=chunks.shape[1]))
         assert_stream_matches(table._stream, keyed)
-        assert "_half_level" not in vars(table)
-        assert np.array_equal(table._half_level, keyed)
+        assert np.array_equal(table.level, canonical_order(keyed, n))
 
     @pytest.mark.parametrize("n", range(15, 19))
     def test_labelings_in_matches_full_scan(self, n):
@@ -553,27 +553,34 @@ class TestPerLabelingArraysOnDemand:
         assert peak <= limit << (n - 1)
 
     def test_streamed_queries_build_no_key_order_levels(self, tables):
-        # a class-size test, the mode, a point lookup and a small credible
-        # set's members read the histogram and rebuilt chunks, and no array
-        # of 2^(n-1) levels (or of anything else per key) is built
+        # a class-size test, the mode, a point lookup, a small credible
+        # set's members, membership of its enlargements and ball masses
+        # read the histogram and rebuilt chunks, and no array of 2^(n-1)
+        # levels (or of anything else per key) is built
         n = 20
         model = EdgeModel(0.7, 0.2)
-        g = sample_graph(canonicalize([v < 5 for v in range(n)]), model, 0)
+        theta0 = canonicalize([v < 5 for v in range(n)])
+        g = sample_graph(theta0, model, 0)
         inference.class_size_test(g, UNIFORM, model, 0, None, 1.0)
         table = exact_posterior(g, UNIFORM, model)
+        far = canonicalize([v % 2 for v in range(n)])
         tracemalloc.start()
         try:
             theta = table.mode()
             hpd = inference.hpd_credible_set(table, 0.05)
             words = hpd.member_words()
+            held = [far in inference.enlarge(hpd, radius) for radius in (2, 3)]
+            masses = [table.mass_of_ball(theta0, radius) for radius in (2, 3)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert table.probability(theta) == table.level_masses()[0].max()
         assert hpd.small and theta.word in words.tolist() and theta in hpd
+        assert held == [False, False] and 0 < masses[0] < masses[1] <= 1
         assert len(tables) == 1
-        for made in (tables[0], table):
-            assert not {"_half_level", "level"} & set(vars(made))
+        for made in (tables[0], table, table._stream):
+            assert "level" not in vars(made)
+            assert all(np.size(value) < len(table) for value in vars(made).values())
         assert peak < 1 << (n - 1)
 
     def test_class_size_test_peak_at_the_cap(self):
@@ -594,7 +601,7 @@ class TestPerLabelingArraysOnDemand:
 
     def test_arrays_are_built_once_and_read_only(self):
         table = reduction_tables()["flat"]
-        for name in ("_half_level", "level", "words", "class_sizes"):
+        for name in ("level", "words", "class_sizes"):
             assert getattr(table, name) is getattr(table, name)
             assert not getattr(table, name).flags.writeable
 
@@ -623,30 +630,52 @@ class TestPosteriorMass:
             assert table.mass_of_ball(center, k) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_listed_ball_equals_scan(self, n, monkeypatch):
-        # every ball is listed (share 0), then every nonempty ball is found
-        # by the key scan (share 2^62); each sums the same floats in the
-        # same order as a scan over the canonical words, and neither reads
-        # the canonical index. The graphs go sharp, flat and tied (p == q)
-        # with n
+    def test_listed_ball_equals_scan(self, n):
+        # every ball's mass sums the same floats in the same order as a
+        # scan over the canonical words, and reads no canonical index. The
+        # graphs go sharp, flat and tied (p == q) with n
         p, q, prior = ((0.7, 0.2, UNIFORM), (0.5, 0.45, UniformClassSize()),
                        (0.4, 0.4, UNIFORM))[n % 3]
         theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
         model = EdgeModel(p, q)
-        x = sample_graph(theta0, model, n)
+        table = exact_posterior(sample_graph(theta0, model, n), prior, model)
         centers = list(enumerate_labelings(n))
         radii = range(-1, n // 2 + 3)
-        for share in (0, 1 << 62):
-            monkeypatch.setattr(posterior, "_BALL_SHARE", share)
-            table = exact_posterior(x, prior, model)
-            got = [[table.mass_of_ball(center, radius) for radius in radii]
-                   for center in centers]
-            assert not {"words", "class_sizes", "level"} & set(vars(table))
-            prob = probabilities(table)
-            for center, masses in zip(centers, got):
-                k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
-                folded = np.minimum(k, n - k)
-                assert masses == [float(prob[folded < radius].sum()) for radius in radii]
+        got = [[table.mass_of_ball(center, radius) for radius in radii]
+               for center in centers]
+        assert not {"words", "class_sizes", "level"} & set(vars(table))
+        prob = probabilities(table)
+        for center, masses in zip(centers, got):
+            k = np.bitwise_count(table.words ^ np.uint32(center.word)).astype(np.int64)
+            folded = np.minimum(k, n - k)
+            assert masses == [float(prob[folded < radius].sum()) for radius in radii]
+
+    @pytest.mark.parametrize("n", [*range(1, 13), *range(16, 21)])
+    def test_ball_chunks_match_oracle(self, n):
+        # per chunk of 2^14 keys, in key order: the keys of the canonical
+        # words within folded distance < radius, ascending, and their
+        # key-order levels. Every centre up to n = 12; from n = 16 the
+        # balls span chunks, and 8 random centres are taken
+        model = EdgeModel(0.7, 0.2)
+        g = sample_graph(canonicalize([v < n // 4 for v in range(n)]), model, n)
+        table = exact_posterior(g, UNIFORM, model)
+        keyed = key_order_levels(g)
+        words, _ = canonical_words(n)
+        centers = (range(len(words)) if n <= 12 else
+                   np.random.default_rng(n).choice(len(words), size=8, replace=False))
+        for k in centers:
+            d = np.bitwise_count(words ^ words[k]).astype(np.int64)
+            folded = np.minimum(d, n - d)
+            for radius in range(-1, n // 2 + 3):
+                chunks = list(table.ball(LabelVector(n, int(words[k])), radius))
+                expected = np.sort(half_cube_keys(words[folded < radius], n))
+                assert np.array_equal(np.concatenate([[], *(keys for keys, _ in chunks)]),
+                                      expected)
+                for keys, levels in chunks:
+                    assert keys.dtype == np.intp and levels.dtype == np.int16
+                    assert len(keys) and (keys >> 14 == keys[0] >> 14).all()
+                    assert (np.diff(keys) > 0).all()
+                    assert np.array_equal(levels, keyed[keys])
 
     def test_small_ball_builds_no_per_labeling_array(self):
         model = EdgeModel(0.7, 0.2)
