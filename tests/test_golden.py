@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from bisect_bayes import EdgeModel, Graph, exact_posterior, hpd_credible_set, parse_prior
 from bisect_bayes.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,6 +42,12 @@ GRAPHS = {
 CAP_GRAPHS = {
     "n21-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
     "n22-sharp": ("bernoulli:r=0.5", 0.7, 0.2),
+}
+# a flat graph over eight chunks of half-cube keys, pinned for credible
+# --enlarge 1 and 2 only: its credible set is large (not listed from the
+# levels) and takes part of its last probability group
+LARGE_SET_GRAPHS = {
+    "n18-flat": ("uniform-m", 0.5, 0.45),
 }
 # graphs whose posterior is also pinned as sampled by the chain
 MCMC_GRAPHS = ("n14-sharp",)
@@ -96,6 +103,15 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
                  "--out", "{out}/credible.json"],
                 ["credible.json"],
             )
+    for stem, (prior, p, q) in LARGE_SET_GRAPHS.items():
+        common = ["--graph", str(GOLDEN / f"{stem}.json"), "--prior", prior,
+                  "--p", str(p), "--q", str(q)]
+        for radius, suffix in ((1, ""), (2, "-r2")):
+            cases[f"{stem}:credible{suffix}"] = (
+                ["credible", *common, "--gamma", "0.05", "--enlarge", str(radius),
+                 "--out", "{out}/credible.json"],
+                ["credible.json"],
+            )
     for name in EXPERIMENTS:
         # the .meta.json sidecar holds a timestamp, so only the CSV is pinned
         cases[f"{name}:experiment"] = (
@@ -126,6 +142,18 @@ def test_output_bytes_match_pinned_hashes(case, tmp_path):
 
 def test_every_case_is_pinned():
     assert sorted(json.loads(HASHES.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("stem", sorted(LARGE_SET_GRAPHS))
+def test_large_set_graphs_are_large(stem):
+    # so that their cases pin the mask of a large set, not a listed one
+    prior, p, q = LARGE_SET_GRAPHS[stem]
+    graph = Graph.from_json((GOLDEN / f"{stem}.json").read_text())
+    table = exact_posterior(graph, parse_prior(prior), EdgeModel(p, q))
+    hpd = hpd_credible_set(table, 0.05)
+    assert not hpd.small
+    assert 0 < hpd.taken < hpd.tied
+    assert len(table) // 2**14 == 8
 
 
 def record() -> None:

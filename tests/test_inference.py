@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -456,6 +457,22 @@ class TestPosteriorOdds:
         with pytest.raises(ValueError):
             posterior_odds(table, mask_of(table, lambda t: t.m <= 1),
                            mask_of(table, lambda t: t.m >= 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 16])
+    def test_overlap_message_names_the_first_shared_labeling(self, n):
+        # the first labeling in index order that both sets hold, whether its
+        # half-cube key is a low one or the complement of a high one
+        table = flat_table(n)
+        thetas = list(enumerate_labelings(n))
+        picks = np.random.default_rng(n).integers(len(thetas), size=6).tolist()
+        for k in sorted({0, len(thetas) // 2, len(thetas) - 1, *picks}):
+            a = np.zeros(len(table), dtype=bool)
+            a[k:] = True
+            b = np.zeros(len(table), dtype=bool)
+            b[[k, -1]] = True
+            message = f"hypothesis sets overlap at {thetas[k]!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                posterior_odds(table, a, b)
 
     def test_empty_null_rejected(self):
         table = flat_table(4)
