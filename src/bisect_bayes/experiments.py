@@ -30,6 +30,7 @@ from .model import (
     canonicalize_word,
     derive_rng,
     edge_probs_from_sparsity,
+    labeling_at,
     sample_graph,
 )
 from .posterior import (
@@ -280,8 +281,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 def _plant(rng: np.random.Generator, n: int, planted_m: Optional[int]) -> LabelVector:
     if planted_m is None:
-        words, _ = canonical_words(n)
-        return LabelVector(n, int(words[int(rng.integers(len(words)))]))
+        return labeling_at(n, int(rng.integers(1 << (n - 1))))
     positions = rng.choice(n, size=planted_m, replace=False)
     word = 0
     for v in positions.tolist():

@@ -14,14 +14,14 @@ from .model import (
     EdgeModel,
     Graph,
     LabelVector,
-    _half_split,
     canonical_index,
     canonical_order,
     canonical_positions,
-    canonical_words,
     half_cube_words,
+    index_order,
+    labeling_at,
 )
-from .posterior import PosteriorTable, exact_posterior
+from .posterior import PosteriorTable, _read_only, exact_posterior
 from .priors import PriorSpec
 
 __all__ = [
@@ -40,25 +40,29 @@ __all__ = [
 
 class _LabelingSet:
     """A set of canonical labelings on ``n`` vertices, given by a rule.
-    ``theta in S`` is answered by the rule (``_holds``). The read-only
-    boolean ``mask`` over canonical_words(n) is built by ``_build_mask``
-    when it is first read, and the member words are read through it."""
+    ``theta in S`` is answered by the rule (``_holds``). Its one array is
+    the read-only boolean ``key_mask`` over the half-cube keys, built by
+    ``_build_key_mask`` when first read; ``mask``, over the canonical
+    index, is put in canonical order from it when read, and the member
+    words are converted from its keys."""
 
     n: int
 
     @cached_property
+    def key_mask(self) -> np.ndarray:
+        return _read_only(self._build_key_mask())
+
+    @cached_property
     def mask(self) -> np.ndarray:
-        mask = self._build_mask()
-        mask.setflags(write=False)
-        return mask
+        return _read_only(canonical_order(self.key_mask, self.n))
 
     def __contains__(self, theta: LabelVector) -> bool:
         return theta.n == self.n and self._holds(theta)
 
     def member_words(self) -> np.ndarray:
         """The members' packed words (uint32), in index order."""
-        words, _ = canonical_words(self.n)
-        return words[self.mask]
+        keys = np.flatnonzero(self.key_mask)
+        return half_cube_words(keys[index_order(keys, self.n)], self.n)
 
     @cached_property
     def members(self) -> frozenset[LabelVector]:
@@ -71,8 +75,9 @@ class CredibleSet(_LabelingSet):
     built by hpd_credible_set. The set is its own selection rule: every
     labeling of ``table`` more probable than ``cutoff`` (``above`` of
     them), and of the ``tied`` labelings exactly as probable, the first
-    ``taken`` in index order. Membership is read from the table's levels,
-    and the mask is built only when it is read.
+    ``taken`` in index order. Membership is read from the table's levels;
+    the key mask is filled by one walk of the table's chunks when it is
+    read, and a small set's member words are listed without it.
     """
 
     table: PosteriorTable
@@ -110,20 +115,18 @@ class CredibleSet(_LabelingSet):
     @property
     def small(self) -> bool:
         """Whether the groups taken from hold at most 1/_SMALL_SET of the
-        labelings, so that the set is listed from the key-order levels."""
+        labelings, so that the member words are listed (see ``listed``)."""
         return _SMALL_SET * (self.above + self.tied) <= len(self.table)
 
-    def listed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The half-cube keys of the labelings taken and their index
-        positions, both in index order: every labeling of the groups taken
-        from, less the tied ones after the first ``taken``."""
+    def listed(self) -> np.ndarray:
+        """The half-cube keys of the labelings taken, in index order: every
+        labeling of the groups taken from, less the tied ones after the
+        first ``taken``. Only the chunks that hold them are rebuilt."""
         prob = self.table.level_masses()[0]
         keys, level = self.table.labelings_in(prob >= self.cutoff)
-        positions = canonical_positions(keys, self.n)
-        order = np.argsort(positions)
+        order = index_order(keys, self.n)
         tied = np.flatnonzero(prob[level[order]] == self.cutoff)
-        order = np.delete(order, tied[self.taken:])
-        return keys[order], positions[order]
+        return keys[np.delete(order, tied[self.taken:])]
 
     def _holds(self, theta: LabelVector) -> bool:
         p = self.table.probability(theta)
@@ -139,27 +142,25 @@ class CredibleSet(_LabelingSet):
         held[at] = canonical_positions(keys[at], self.n) <= self.last_tied
         return held
 
-    def _build_mask(self) -> np.ndarray:
-        """A small set's positions are listed (see ``listed``) and
-        scattered into an empty mask; otherwise the mask is gathered
-        through the canonical level of every labeling."""
-        table = self.table
-        prob = table.level_masses()[0]
-        if self.small:
-            mask = np.zeros(len(table), dtype=bool)
-            mask[self.listed()[1]] = True
-        else:
-            mask = (prob >= self.cutoff)[table.level]
-            if self.taken < self.tied:
-                tied = np.flatnonzero((prob == self.cutoff)[table.level])
-                mask[tied[self.taken:]] = False
+    def _build_key_mask(self) -> np.ndarray:
+        """Each chunk of the walk takes the labelings above the cutoff and
+        gathers its keys at the cutoff; of those, placed by chunk, the first
+        ``taken`` in index order are added."""
+        prob = self.table.level_masses()[0]
+        above, at_cutoff = prob > self.cutoff, prob == self.cutoff
+        mask = np.empty(len(self.table), dtype=bool)
+        tied = {}
+        for start, levels in self.table.walk():
+            # every level is in range, and "clip" lets take write in place
+            np.take(above, levels, out=mask[start:start + len(levels)], mode="clip")
+            tied[start] = start + np.flatnonzero(np.take(at_cutoff, levels, mode="clip"))
+        keys = np.concatenate([tied[start] for start in sorted(tied)])
+        mask[keys[index_order(keys, self.n)[:self.taken]]] = True
         return mask
 
     def member_words(self) -> np.ndarray:
-        """The members' packed words, in index order; a small set's are
-        converted from its listed keys, and no index is built."""
         if self.small:
-            return half_cube_words(self.listed()[0], self.n)
+            return half_cube_words(self.listed(), self.n)
         return super().member_words()
 
 
@@ -169,9 +170,7 @@ class EnlargedSet(_LabelingSet):
     together with the set itself. Membership of theta is read from the
     base at the labelings of theta's ball, one chunk of half-cube keys at a
     time (PosteriorTable.ball), up to the first chunk that holds a member.
-    When read, the mask is dilated from the base's over the half-cube
-    keys; only the member words of a set wider than its base read the
-    canonical index.
+    When read, the key mask is dilated from the base's.
     """
 
     def __init__(self, base: CredibleSet, radius: int):
@@ -195,48 +194,30 @@ class EnlargedSet(_LabelingSet):
             return self.base.member_words()
         return super().member_words()
 
-    def _build_mask(self) -> np.ndarray:
-        """The base's mask, put in half-cube key order (the inverse of
-        model.canonical_order), is dilated radius - 1 times by flipping
-        each vertex: vertex v >= 1 flips key bit n - 1 - v, and vertex 0
-        maps key h to 2^(n-1) - 1 - h, which reverses the array. Folded
-        distances never exceed n // 2, so more dilations than that change
-        nothing; with none, the base's mask is shared."""
+    def _build_key_mask(self) -> np.ndarray:
+        """The base's key mask, dilated radius - 1 times by flipping each
+        vertex: vertex v >= 1 flips key bit n - 1 - v, and vertex 0 maps key
+        h to 2^(n-1) - 1 - h, which reverses the array. Folded distances
+        never exceed n // 2, so more dilations than that change nothing;
+        with none, the base's key mask is shared."""
         n = self.n
-        steps = min(self.radius - 1, n // 2)
-        if steps <= 0:
-            return self.base.mask
-        low = _half_split(n)
-        count = np.count_nonzero(low)
-        keys = np.empty(len(low), dtype=bool)
-        keys[low] = self.base.mask[:count]
-        keys[~low] = self.base.mask[count:][::-1]
-        for _ in range(steps):
+        keys = self.base.key_mask
+        for _ in range(min(self.radius - 1, n // 2)):
             grown = keys | keys[::-1]
             for b in range(n - 1):
                 # the middle axis is key bit b: reversing it flips that bit
                 view = grown.reshape(-1, 2, 1 << b)
                 view |= keys.reshape(-1, 2, 1 << b)[:, ::-1]
             keys = grown
-        return canonical_order(keys, n)
+        return keys
 
 
 # A credible set whose probability groups hold at most one labeling in
-# _SMALL_SET is listed from the key-order levels, its mask scattered from
-# the list and its member words converted from its keys; a larger one is
-# gathered through the canonical level of every labeling, a cheaper pass
-# per member, and its words are read from the canonical index.
-# Timed on flat graphs, the scatter is the faster below a share of about
-# 1/10 at n = 18 and 22, and within about 10% of the gather up to 1/32 at
-# n = 14; at a share of 3/4 (coverage-flat) the gather takes half the time.
-# For member words, converting the listed keys against reading words[mask]
-# (the mask built by the rule), timed likewise with a fresh table each run:
-# with the index cached, the listing is the faster below a share of about
-# 1/10 at n = 22 (0.8x at 0.09), even or faster at n = 18 up to 1/20, and
-# 1.4-1.6x slower at n = 14 up to 1/27 (0.13 against 0.08 ms); with the
-# index built in the call, it is the faster below about 1/5 at n = 18 and
-# 22 (0.01-0.8x). From a share of about 1/3 it takes 1.6-4.4x as long at
-# every size (at n = 22 and 0.64, 126 ms against 29-53 ms).
+# _SMALL_SET lists its member words from the chunks that hold them
+# (CredibleSet.listed) and builds nothing over all 2^(n-1) keys; a larger
+# one converts them from its key mask. Timed on flat graphs with a fresh
+# set each run, the listing takes 0.5-0.9x the key mask's time at shares
+# of 1/170 to 1/12 at n = 18 and 22, and 1.3-1.5x at shares of 0.6-0.7.
 _SMALL_SET = 32
 
 # Relative rounding of the group mass sums is at most about 1e-16 times the
@@ -343,7 +324,7 @@ def posterior_odds(table: PosteriorTable, a_set: np.ndarray, b_set: np.ndarray) 
     sel_a, sel_b = _as_mask(table, a_set), _as_mask(table, b_set)
     overlap = np.flatnonzero(sel_a & sel_b)
     if len(overlap):
-        theta = LabelVector(table.n, int(table.words[overlap[0]]))
+        theta = labeling_at(table.n, int(overlap[0]))
         raise ValueError(f"hypothesis sets overlap at {theta}")
     if not sel_a.any():
         raise ValueError("null set carries no posterior mass")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterable, Sequence
@@ -33,6 +34,8 @@ __all__ = [
     "half_cube_words",
     "canonical_index",
     "canonical_positions",
+    "index_order",
+    "labeling_at",
     "num_labelings",
     "hamming",
     "sym_distance",
@@ -321,6 +324,39 @@ def canonical_index(theta: LabelVector) -> int:
     if 2 * key.bit_count() > n:
         rank += (1 << (n - 1)) - 1 - key
     return rank
+
+
+def labeling_at(n: int, k: int) -> LabelVector:
+    """The labeling at position k of canonical_words(n), the inverse of
+    canonical_index, selected by rank over its tables with no index built:
+    the k-th low key, or past the low keys, the high keys from the largest
+    down. The counts of wanted keys below a prefix, and below a suffix
+    after it, never decrease, so each is found by bisection."""
+    bits, prefix, suffix = _rank_tables(n)
+    half = 1 << (n - 1)
+    if not 0 <= k < half:
+        raise ValueError(f"position {k} out of range for n={n}")
+    if k < sum(math.comb(n - 1, m) for m in range(n // 2 + 1)):
+        p = bisect_right(prefix, k) - 1
+        row = p.bit_count() << bits
+        s = bisect_right(suffix[row:row + (1 << bits)], k - prefix[p]) - 1
+    else:
+        # the high keys below a key are the keys below less the low ones
+        rank = half - 1 - k
+        p = bisect_right(range(len(prefix)), rank, key=lambda p: (p << bits) - prefix[p]) - 1
+        row = p.bit_count() << bits
+        rank -= (p << bits) - prefix[p]
+        s = bisect_right(range(1 << bits), rank, key=lambda s: s - suffix[row | s]) - 1
+    # key bit n-1-v is the label of vertex v, which is 0 for v = 0
+    return LabelVector(n, canonicalize_word(int(format(p << bits | s, f"0{n}b")[::-1], 2), n))
+
+
+def index_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """The permutation that puts half-cube keys, given ascending, in index
+    order: the low keys ascending, then the others descending, as
+    canonical_order does for every key (argsort of canonical_positions)."""
+    low = 2 * np.bitwise_count(keys) <= n
+    return np.concatenate((np.flatnonzero(low), np.flatnonzero(~low)[::-1]))
 
 
 def num_labelings(n: int, m: int | None = None) -> int:

@@ -24,7 +24,6 @@ from .model import (
     Graph,
     LabelVector,
     canonical_order,
-    canonical_positions,
     canonical_words,
     canonicalize_word,
     check_enumerable,
@@ -32,6 +31,7 @@ from .model import (
     half_cube_key,
     half_cube_keys,
     half_cube_words,
+    index_order,
     label_strings,
 )
 from .priors import PriorSpec, log_mass_by_class_size
@@ -226,18 +226,19 @@ class PosteriorTable:
 
     Class-size masses read the level counts; a point lookup computes its
     labeling's level; the mode and small credible sets rebuild only the
-    chunks whose histogram holds a level they take, and a ball (``ball``)
-    only its keys in the chunks it reaches. The only arrays over the
-    canonical index, its ``words`` and ``class_sizes``
-    (model.canonical_words) and the canonical ``level``, are built when
-    first read; ``level`` walks the stream once more to fill it. No
+    chunks whose histogram holds a level they take, a ball (``ball``) only
+    its keys in the chunks it reaches, and a large set's key mask is filled
+    by one more walk (``walk``). The arrays over the canonical index, its
+    ``words`` and ``class_sizes`` and the canonical ``level``, are built
+    when first read, by the outputs that take every labeling in index
+    order (write_csv, inclusion_probabilities and masked_mass). No
     per-labeling float is kept: a labeling's log mass and probability are
     its level's. Immutable after construction.
     """
 
     def __init__(self, stream, level_log_mass: np.ndarray, level_class_size: np.ndarray):
-        """The table over canonical_words(stream.n) whose labelings lie in
-        the levels ``stream`` gives them. The stream serves ``level(theta)``
+        """The table over the canonical labelings of stream.n vertices,
+        which lie in the levels ``stream`` gives them. The stream serves ``level(theta)``
         for one labeling, ``chunk(c, at)`` for the half-cube keys c·2^L to
         (c + 1)·2^L − 1 (L = log2 stream.size), or for those at the
         positions ``at`` among them, and ``walk()``, every
@@ -320,7 +321,7 @@ class PosteriorTable:
         the labelings in the levels it selects, in key order, and the level
         of each. Only the chunks whose histogram holds a selected level are
         rebuilt, and nothing over the canonical index is built
-        (model.canonical_positions gives index positions)."""
+        (model.index_order puts the keys in index order)."""
         stream = self._stream
         held = self._chunk_count.compress(levels, axis=1).sum(axis=1, dtype=np.intp)
         keys = np.empty(int(held.sum()), dtype=np.intp)
@@ -338,11 +339,16 @@ class PosteriorTable:
             end += len(found)
         return keys, level
 
+    def walk(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Every chunk of half-cube keys once, in no set order, as (its first
+        key, its keys' levels), the levels overwritten at the next step."""
+        return ((c * self._stream.size, levels) for c, levels in self._stream.walk())
+
     def mode(self) -> LabelVector:
         """The most probable labeling; ties go to the first in index
         order, i.e. lexicographically."""
         keys, _ = self.labelings_in(self._level_prob == self._level_prob.max())
-        first = keys[[np.argmin(canonical_positions(keys, self.n))]]
+        first = keys[index_order(keys, self.n)[:1]]
         return LabelVector(self.n, int(half_cube_words(first, self.n)[0]))
 
     def mass_of_class_size(self, m: int) -> float:

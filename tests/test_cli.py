@@ -5,6 +5,7 @@ import pytest
 
 from bisect_bayes import EdgeModel, canonicalize, inference, posterior, sample_graph
 from bisect_bayes.cli import main
+from bisect_bayes.model import _canonical_words
 
 
 def run(argv, capsys=None):
@@ -172,6 +173,27 @@ class TestCredible:
             payload = json.loads(out)
             assert payload["members"]
             assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_large_set_and_uniform_plant_build_no_index(self, tmp_path):
+        # a large flat credible set widened by 2 is printed, and a bound
+        # check plants uniformly, with no canonical index built
+        n = 20
+        graph = tmp_path / "g.json"
+        theta = canonicalize([v < 5 for v in range(n)])
+        graph.write_text(sample_graph(theta, EdgeModel(0.5, 0.45), 0).to_json())
+        config = tmp_path / "bound.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "kind": "bound-check", "n": n, "prior": "bernoulli:r=0.5",
+            "p": 0.7, "q": 0.2, "ball_radius": 2, "replications": 1, "master_seed": 5}))
+        _canonical_words.cache_clear()
+        assert main(["credible", "--graph", str(graph), "--prior", "uniform-m",
+                     "--p", "0.5", "--q", "0.45", "--gamma", "0.05", "--enlarge", "2",
+                     "--out", str(tmp_path / "credible.json")]) == 0
+        assert main(["experiment", "--config", str(config), "--threads", "1",
+                     "--out", str(tmp_path / "bound.csv")]) == 0
+        assert _canonical_words.cache_info().currsize == 0
+        members = json.loads((tmp_path / "credible.json").read_text())["members"]
+        assert len(members) > (1 << (n - 1)) // 2
 
     def test_composes_from_sample(self, tmp_path, graph_file):
         # sample -> posterior -> credible without manual edits

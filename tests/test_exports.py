@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -47,3 +48,43 @@ def test_bench_trace_targets_resolve():
         if fn not in scope:
             unresolved.append(name)
     assert unresolved == []
+
+
+# The functions that print or take every labeling in index order, the only
+# readers of the canonical index in the package
+INDEX_READERS = {"write_csv", "inclusion_probabilities", "_plant_complement", "words",
+                 "class_sizes"}
+
+
+def index_reads(tree):
+    """(innermost enclosing function, line) of each read of the name
+    canonical_words or of an attribute ``words``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == "canonical_words"
+                or isinstance(node, ast.Attribute) and node.attr == "words"):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_index_read_only_where_labelings_are_printed():
+    src = Path(bisect_bayes.__file__).resolve().parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for scope, line in index_reads(ast.parse(path.read_text())):
+            if scope not in INDEX_READERS:
+                stray.append(f"{path.name}:{line} in {scope}")
+    assert stray == []
+
+
+def test_index_scan_sees_reads():
+    tree = ast.parse("def f(t):\n    return canonical_words(3), t.words\n"
+                     "x = table.words\n")
+    assert index_reads(tree) == [("f", 2), ("f", 2), (None, 3)]

@@ -26,7 +26,7 @@ from bisect_bayes import (
     sym_distance,
 )
 from bisect_bayes import inference
-from bisect_bayes.model import _canonical_words, canonical_index
+from bisect_bayes.model import _canonical_words, canonical_index, canonical_order, half_cube_keys
 from table_helpers import enumerate_labelings, log_unnormalized, probabilities, table_from_masses
 
 UNIFORM = FixedBernoulli(0.5)
@@ -103,6 +103,13 @@ def full_sort_hpd(table, gamma):
     return frozenset(members), mass
 
 
+def words_of(key_mask, n):
+    """The canonical words of the keys a key mask holds, in index order,
+    read from the canonical index."""
+    words, _ = canonical_words(n)
+    return words[canonical_order(key_mask, n)]
+
+
 def hpd_table(case):
     if case in ("sharp", "unleveled"):
         table, _ = peaked_table(n=12, p=0.7, q=0.2, seed=5)
@@ -131,11 +138,11 @@ def hpd_table(case):
 
 
 # Cases whose taken groups hold more than 1/32 of the labelings, so that
-# the mask is gathered through the canonical level; every other case
-# scatters the positions of the labelings taken (sharp at 0.01, unleveled
-# at 0.01 and far at 0.999 take part of their last group).
-GATHERED = {("flat", 0.01), ("flat", 0.05), ("flat", 0.5),
-            ("tied", 0.01), ("tied", 0.05), ("tied", 0.5), ("tied", 0.999)}
+# their member words are converted from the key mask; every other case
+# lists them from the chunks that hold them (sharp at 0.01, unleveled at
+# 0.01 and far at 0.999 take part of their last group).
+LARGE = {("flat", 0.01), ("flat", 0.05), ("flat", 0.5),
+         ("tied", 0.01), ("tied", 0.05), ("tied", 0.5), ("tied", 0.999)}
 
 
 class TestHpdMatchesFullSort:
@@ -143,11 +150,11 @@ class TestHpdMatchesFullSort:
                                       "sharp18"])
     @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.5, 0.999])
     def test_same_members_and_mass(self, case, gamma, monkeypatch):
-        scattered = []
+        listed = []
         labelings_in = PosteriorTable.labelings_in
 
         def recording(table, levels):
-            scattered.append(levels)
+            listed.append(levels)
             return labelings_in(table, levels)
 
         monkeypatch.setattr(PosteriorTable, "labelings_in", recording)
@@ -155,16 +162,18 @@ class TestHpdMatchesFullSort:
             warnings.simplefilter("error")
             table = hpd_table(case)
             hpd = hpd_credible_set(table, gamma)
-            # the mask is built when first read, and not before
-            assert not scattered
-            assert "level" not in vars(table)
+            # the key mask is filled by one walk when first read, and not
+            # before; nothing is listed for it
+            assert "key_mask" not in vars(hpd)
             assert hpd.mask.any()
-        assert bool(scattered) == ((case, gamma) not in GATHERED)
-        # the canonical level is built only to gather
-        assert ("level" in vars(table)) == ((case, gamma) in GATHERED)
-        members, mass = full_sort_hpd(table, gamma)
-        assert hpd.members == members
-        assert hpd.achieved_mass == mass
+            assert not listed
+            members = hpd.members
+        # a small set lists its member words, and agrees with its key mask
+        assert bool(listed) == hpd.small == ((case, gamma) not in LARGE)
+        assert np.array_equal(hpd.member_words(), words_of(hpd.key_mask, table.n))
+        # no set builds the canonical level
+        assert "level" not in vars(table)
+        assert (members, hpd.achieved_mass) == full_sort_hpd(table, gamma)
 
     def test_tied_table_ties_up_to_rounding(self):
         prob = probabilities(hpd_table("tied"))
@@ -328,6 +337,74 @@ def membership_table(kind, n):
     }[kind]
     theta0 = LabelVector.from_string("0" * (n - n // 2) + "1" * (n // 2))
     return exact_posterior(sample_graph(theta0, model, n), prior, model)
+
+
+def group_gammas(table):
+    """Per probability group, in decreasing probability, a gamma whose
+    greedy sum stops about halfway through that group, so that ties at the
+    cutoff are split; those in (0, 1) only."""
+    values, sizes = inference._probability_groups(table)
+    before = np.cumsum(values * sizes) - values * sizes
+    gammas = 1.0 - (before + values * np.maximum(sizes // 2, 1))
+    return [gamma for gamma in gammas.tolist() if 0.0 < gamma < 1.0]
+
+
+def flip_neighbours(n):
+    """Per vertex v, the index position of each canonical labeling with v's
+    label flipped, read from the canonical words."""
+    words, _ = canonical_words(n)
+    at = np.empty(1 << n, dtype=np.intp)
+    at[words] = at[words ^ np.uint32((1 << n) - 1)] = np.arange(len(words))
+    return [at[words ^ np.uint32(1 << v)] for v in range(n)]
+
+
+class TestKeyMasks:
+    @pytest.mark.parametrize("kind", ["sharp", "flat", "tied"])
+    @pytest.mark.parametrize("n", [2, 5, 9, 12, 16])
+    def test_key_masks_match_oracles(self, kind, n):
+        # every cutoff group, split at the cutoff, and radii 0-4: the HPD
+        # set by the full stable sort (the additions of full_sort_hpd), its
+        # enlargements grown one flip at a time over the canonical words
+        table = membership_table(kind, n)
+        words, _ = canonical_words(n)
+        keys = half_cube_keys(words, n)
+        prob = probabilities(table)
+        order = np.argsort(-prob, kind="stable")
+        mass = np.cumsum(prob[order])
+        neighbours = flip_neighbours(n)
+        gammas = group_gammas(table)
+        assert len(gammas) >= min(3, len(np.unique(prob)) - 1)
+        split = 0
+        for gamma in gammas:
+            hpd = hpd_credible_set(table, gamma)
+            split += 0 < hpd.taken < hpd.tied
+            k = min(int(np.searchsorted(mass, 1.0 - gamma)), len(mass) - 1)
+            assert hpd.achieved_mass == mass[k]
+            expected = np.zeros(len(words), dtype=bool)
+            expected[order[:k + 1]] = True
+            for radius in range(5):
+                if radius >= 2:
+                    expected = expected | np.logical_or.reduce(
+                        [expected[at] for at in neighbours])
+                s = enlarge(hpd, radius)
+                assert np.array_equal(s.key_mask[keys], expected)
+                assert np.array_equal(s.mask, expected)
+                assert np.array_equal(s.member_words(), words[expected])
+                assert not (s.key_mask.flags.writeable or s.mask.flags.writeable)
+        assert split >= min(3, len(gammas) // 2)
+
+    def test_large_set_reads_no_index(self):
+        # a flat set past the listing share, and its enlargements: key
+        # masks, masks and member words build no canonical index or level
+        table = membership_table("flat", 16)
+        hpd = hpd_credible_set(table, 0.05)
+        assert not hpd.small and hpd.taken < hpd.tied
+        _canonical_words.cache_clear()
+        for s in (hpd, enlarge(hpd, 1), enlarge(hpd, 2), enlarge(hpd, 3)):
+            s.member_words()
+            s.mask
+        assert _canonical_words.cache_info().currsize == 0
+        assert "level" not in vars(table)
 
 
 class TestMembershipWithoutMasks:

@@ -28,9 +28,12 @@ from bisect_bayes.model import (
     canonical_order,
     canonical_positions,
     canonical_words,
+    canonical_index,
     half_cube_keys,
     half_cube_words,
+    index_order,
     label_strings,
+    labeling_at,
 )
 from table_helpers import enumerate_labelings
 
@@ -162,6 +165,34 @@ class TestCanonicalIndex:
         full = np.uint32((1 << n) - 1)
         keys, _, _ = full_cube_canonical_words(n)
         assert np.array_equal(canonical_order(half, n), np.minimum(keys, keys ^ full))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_labeling_at_selects_every_position(self, n):
+        words, _ = canonical_words(n)
+        got = [labeling_at(n, k) for k in range(len(words))]
+        assert [theta.word for theta in got] == words.tolist()
+        assert all(canonical_index(theta) == k for k, theta in enumerate(got))
+
+    def test_labeling_at_random_positions_at_the_cap(self):
+        words, _ = canonical_words(22)
+        picks = np.random.default_rng(22).integers(len(words), size=1000).tolist()
+        picks += [0, len(words) // 2, len(words) - 1]
+        assert [labeling_at(22, k).word for k in picks] == words[picks].tolist()
+
+    @pytest.mark.parametrize("k", [-1, 1 << 7])
+    def test_labeling_at_rejects_positions_off_the_index(self, k):
+        with pytest.raises(ValueError, match="out of range"):
+            labeling_at(8, k)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_index_order_is_the_argsort_of_positions(self, n):
+        rng = np.random.default_rng(n)
+        every = np.arange(1 << (n - 1))
+        for density in (0.0, 0.1, 0.5, 1.0):
+            keys = every[rng.random(len(every)) < density]
+            order = index_order(keys, n)
+            assert order.dtype == np.intp
+            assert np.array_equal(order, np.argsort(canonical_positions(keys, n)))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_half_cube_keys_of_raw_words(self, n):
