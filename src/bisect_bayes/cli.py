@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import bounds as bnd
 from .experiments import ExperimentConfig, run_experiment, write_result
 from .inference import class_size_test, enlarge, hpd_credible_set
-from .model import EdgeModel, Graph, LabelVector, label_strings, sample_graph
+from .model import EdgeModel, Graph, LabelVector, label_lines, sample_graph
 from .posterior import McmcConfig, exact_posterior, mcmc_posterior
 from .priors import (
     bernoulli_ratio_sandwich_violations,
@@ -235,26 +235,26 @@ def _cmd_credible(args) -> int:
     graph = _read_graph(args.graph)
     table = exact_posterior(graph, prior, model)
     hpd = hpd_credible_set(table, args.gamma)
+    # index order is lexicographic
     words = enlarge(hpd, args.enlarge).member_words()
     payload = {
-        # index order is lexicographic
-        "members": label_strings(words, table.n),
         "achieved_mass": hpd.achieved_mass,
         "gamma": args.gamma,
         "radius": args.enlarge,
     }
-    _emit(_credible_json(payload), args.out)
+    _emit(_credible_json(payload, words, table.n), args.out)
     return 0
 
 
-def _credible_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), with the members list
-    (never empty, as a credible set is not) written as joined lines: its
-    strings are 0/1 labels that need no escaping, and json's indented
-    encoder is pure Python, about half a microsecond per member."""
+def _credible_json(payload: dict, words, n: int) -> str:
+    """json.dumps of the payload with the members' labels (a credible set
+    is never empty) under "members", indent=2 and sort_keys=True. The
+    labels are 0/1 strings that need no escaping, so the members list is
+    written as one block by model.label_lines; json's indented encoder is
+    pure Python, about half a microsecond per member."""
     text = json.dumps({**payload, "members": []}, indent=2, sort_keys=True)
     head, tail = text.split('"members": []')
-    return "".join([head, '"members": [\n    "', '",\n    "'.join(payload["members"]),
+    return "".join([head, '"members": [\n    "', label_lines(words, n, '",\n    "'),
                     '"\n  ]', tail])
 
 

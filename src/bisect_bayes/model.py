@@ -25,6 +25,7 @@ __all__ = [
     "SparsityParams",
     "LikelihoodRatioStats",
     "canonicalize",
+    "label_lines",
     "label_strings",
     "canonical_words",
     "canonical_order",
@@ -152,16 +153,24 @@ _STRING_CHUNK = 1 << 16
 
 def label_strings(words: np.ndarray, n: int) -> list[str]:
     """The 0/1 string of each packed word, as LabelVector.to_string writes
-    it (character i is bit i), built by array operations in chunks."""
+    it (character i is bit i): label_lines split at its newlines."""
+    return label_lines(words, n, "\n").split("\n") if len(words) else []
+
+
+def label_lines(words: np.ndarray, n: int, sep: str) -> str:
+    """The 0/1 strings of the packed words (see label_strings) joined by
+    ``sep``, an ASCII string: filled into one uint8 array of labels and
+    separators, a chunk of words at a time, and decoded once."""
     words = np.asarray(words, dtype=np.uint32)
+    block = np.empty((len(words), n + len(sep)), dtype=np.uint8)
+    block[:, n:] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
     shifts = np.arange(n, dtype=np.uint32)
-    out: list[str] = []
     for start in range(0, len(words), _STRING_CHUNK):
-        chunk = words[start:start + _STRING_CHUNK, np.newaxis]
-        chars = ((chunk >> shifts) & np.uint32(1)).astype(np.uint8)
+        chars = block[start:start + _STRING_CHUNK, :n]
+        np.bitwise_and(words[start:start + _STRING_CHUNK, np.newaxis] >> shifts,
+                       np.uint32(1), out=chars, casting="unsafe")
         chars += np.uint8(ord("0"))
-        out += chars.view(f"S{n}").ravel().astype(str).tolist()
-    return out
+    return str(block.reshape(-1)[:max(block.size - len(sep), 0)], "ascii")
 
 
 def canonicalize_word(word: int, n: int) -> int:

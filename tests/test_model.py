@@ -32,6 +32,7 @@ from bisect_bayes.model import (
     half_cube_keys,
     half_cube_words,
     index_order,
+    label_lines,
     label_strings,
     labeling_at,
 )
@@ -231,6 +232,18 @@ class TestLabelStrings:
         words, _ = canonical_words(9)
         assert label_strings(words, 9) == [
             LabelVector(9, int(w)).to_string() for w in words]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("sep", ["", "\n", '",\n    "'])
+    def test_lines_join_the_strings(self, monkeypatch, chunk, sep):
+        monkeypatch.setattr(model_module, "_STRING_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for n in (1, 2, 9, 16, 22):
+            words, _ = canonical_words(n)
+            for count in (0, 1, 2, 50):
+                chosen = words[rng.integers(len(words), size=count)]
+                expected = sep.join(LabelVector(n, int(w)).to_string() for w in chosen)
+                assert label_lines(chosen, n, sep) == expected
 
 
 class TestDistances:
