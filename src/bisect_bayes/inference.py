@@ -268,19 +268,40 @@ def _greedy(values: np.ndarray, sizes: np.ndarray,
     taken), and their mass.
 
     The running sum adds each group's value once per labeling, the same
-    float64 additions as a sum over the labelings sorted by probability;
-    its prefix sums never decrease, so searchsorted finds the first one
-    that reaches the target. The last group taken contributes its first
-    labelings in index order.
+    float64 additions as a sum over the labelings sorted by probability,
+    taken _GREEDY_BLOCK labelings at a time with the sum carried from one
+    block into the next. Its prefix sums never decrease, so searchsorted
+    finds the first one that reaches the target. The last group taken
+    contributes its first labelings in index order.
     """
-    reached = np.repeat(values, sizes)
-    np.cumsum(reached, out=reached)
-    k = min(int(np.searchsorted(reached, target)), len(reached) - 1)
     ends = np.cumsum(sizes)
+    count = int(ends[-1])
+    mass = 0.0
+    for start in range(0, count, _GREEDY_BLOCK):
+        stop = min(start + _GREEDY_BLOCK, count)
+        # the groups that hold the block's labelings, and how many each
+        lo = int(np.searchsorted(ends, start, side="right"))
+        hi = int(np.searchsorted(ends, stop - 1, side="right"))
+        held = sizes[lo:hi + 1].copy()
+        held[0] = ends[lo] - start
+        held[-1] -= ends[hi] - stop
+        block = np.repeat(values[lo:hi + 1], held)
+        block[0] += mass
+        np.cumsum(block, out=block)
+        k = min(int(np.searchsorted(block, target)), len(block) - 1)
+        mass = float(block[k])
+        if mass >= target:
+            break
+    k += start
     last = int(np.searchsorted(ends, k, side="right"))
     above = int(ends[last] - sizes[last])
-    return (float(values[last]), above, int(sizes[last]), k + 1 - above,
-            float(reached[k]))
+    return float(values[last]), above, int(sizes[last]), k + 1 - above, mass
+
+
+# The running sum of _greedy is held one block of labelings at a time: one
+# block up to n = 16, and 256 KiB of float64 however many labelings the
+# groups down to the cutoff hold.
+_GREEDY_BLOCK = 1 << 15
 
 
 def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:

@@ -197,6 +197,43 @@ class TestHpdMatchesFullSort:
         assert (hpd.members, hpd.achieved_mass) == full_sort_hpd(table, 0.05)
 
 
+def greedy_in_one_array(values, sizes, target):
+    """The greedy rule and mass, summed over one array that holds every
+    labeling's probability."""
+    reached = np.repeat(values, sizes)
+    np.cumsum(reached, out=reached)
+    k = min(int(np.searchsorted(reached, target)), len(reached) - 1)
+    ends = np.cumsum(sizes)
+    last = int(np.searchsorted(ends, k, side="right"))
+    above = int(ends[last] - sizes[last])
+    return float(values[last]), above, int(sizes[last]), k + 1 - above, float(reached[k])
+
+
+class TestGreedyBlocks:
+    @pytest.mark.parametrize("block, cases", [
+        (1, ["sharp", "tied", "unleveled", "far"]),
+        (3, ["sharp", "tied", "unleveled", "far"]),
+        (64, ["sharp", "flat", "tied", "unleveled", "far"]),
+        (1000, ["sharp", "flat", "tied", "unleveled", "far", "sharp18"]),
+        (1 << 15, ["sharp", "flat", "tied", "unleveled", "far", "sharp18"]),
+    ])
+    def test_blocks_sum_as_one_array(self, block, cases, monkeypatch):
+        # the same float64 additions in the same order, so the same rule
+        # and the same mass, bit for bit, wherever the blocks break
+        monkeypatch.setattr(inference, "_GREEDY_BLOCK", block)
+        rng = np.random.default_rng(block)
+        groups = [inference._probability_groups(hpd_table(case)) for case in cases]
+        for _ in range(3):
+            sizes = rng.integers(1, 40, size=60)
+            values = np.sort(rng.random(60) * 10.0 ** rng.integers(-18, 0, size=60))[::-1]
+            groups.append((values / (values * sizes).sum(), sizes))
+        for values, sizes in groups:
+            for cut in sorted({1, len(values) // 2 + 1, len(values)}):
+                v, n = values[:cut], sizes[:cut]
+                for target in (0.0, 0.01, 0.5, 0.95, 0.999, 1 - 1e-12, 1.0, 1.5):
+                    assert inference._greedy(v, n, target) == greedy_in_one_array(v, n, target)
+
+
 class TestEnlarge:
     def test_radius_zero_is_identity(self):
         hpd = hpd_credible_set(flat_table(4), 0.5)
