@@ -234,8 +234,8 @@ def hpd_credible_set(table: PosteriorTable, gamma: float) -> CredibleSet:
     to a cutoff are summed one labeling at a time: the first group, taken
     in decreasing mass, at which the group masses clear 1 - gamma with a
     margin for rounding. Should that sum still run out, every group is.
-    The set is the rule found (see _greedy) and builds its mask only when
-    the mask is read.
+    The set is the rule found (see _greedy) and builds its key mask only
+    when the key mask is read.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma={gamma} must lie in (0, 1)")
@@ -311,8 +311,8 @@ def enlarge(credible: CredibleSet, radius: int) -> EnlargedSet:
     A labeling lies within folded distance d of a member when it lies
     within Hamming distance d of the member or of its complement. So
     theta is a member when some labeling of its ball of radius ``radius``
-    is in the credible set; the mask, built when read, is a dilation of
-    the credible set's over the half-cube keys, on which a labeling and
+    is in the credible set; the key mask, built when read, is a dilation
+    of the credible set's over the half-cube keys, on which a labeling and
     its complement are one entry (see EnlargedSet).
     """
     return EnlargedSet(credible, radius)
