@@ -276,11 +276,10 @@ def _greedy(values: np.ndarray, sizes: np.ndarray,
     """
     ends = np.cumsum(sizes)
     count = int(ends[-1])
-    mass = 0.0
+    mass, lo = 0.0, 0
     for start in range(0, count, _GREEDY_BLOCK):
         stop = min(start + _GREEDY_BLOCK, count)
-        # the groups that hold the block's labelings, and how many each
-        lo = int(np.searchsorted(ends, start, side="right"))
+        # groups lo to hi hold the block's labelings; this many each
         hi = int(np.searchsorted(ends, stop - 1, side="right"))
         held = sizes[lo:hi + 1].copy()
         held[0] = ends[lo] - start
@@ -292,6 +291,7 @@ def _greedy(values: np.ndarray, sizes: np.ndarray,
         mass = float(block[k])
         if mass >= target:
             break
+        lo = hi if ends[hi] > stop else hi + 1
     k += start
     last = int(np.searchsorted(ends, k, side="right"))
     above = int(ends[last] - sizes[last])
